@@ -410,8 +410,6 @@ def _start_httpd(args, provider, registry=None):
 
 
 def _cmd_serve(args) -> int:
-    import os
-
     from repro.obs.profiler import profiler_from_env
     from repro.server import OracleServer, TraceStore
 
@@ -419,10 +417,6 @@ def _cmd_serve(args) -> int:
     if args.tcp:
         host, _, port = args.tcp.rpartition(":")
         tcp_address = (host or "127.0.0.1", int(port))
-    if args.io:
-        # single-process daemons take io_mode directly; supervisor
-        # workers are subprocesses and pick it up from the environment
-        os.environ["PYTHIA_SERVER_IO"] = args.io
     if args.workers and args.workers > 0:
         from repro.server import OracleSupervisor
 
@@ -430,7 +424,6 @@ def _cmd_serve(args) -> int:
             None if tcp_address else args.socket,
             tcp_address=tcp_address,
             workers=args.workers,
-            routing=args.routing,
             use_mmap=not args.no_mmap,
             cache_size=args.cache_size,
             drain_deadline=args.drain_deadline,
@@ -439,7 +432,7 @@ def _cmd_serve(args) -> int:
         addr = supervisor.address
         where = addr if isinstance(addr, str) else f"{addr[0]}:{addr[1]}"
         print(f"pythia oracle supervisor listening on {where} "
-              f"({args.workers} workers, {args.routing} routing, "
+              f"({args.workers} workers, "
               f"{'mmap' if not args.no_mmap else 'json'} grammars); "
               f"SIGTERM drains, Ctrl-C stops")
         # scrape counts go to the supervisor's own registry so they show
@@ -451,17 +444,11 @@ def _cmd_serve(args) -> int:
             if httpd is not None:
                 httpd.stop()
         return 0
-    if tcp_address is not None:
-        server = OracleServer(
-            tcp_address=tcp_address,
-            store=TraceStore(capacity=args.cache_size),
-            io_mode=args.io,
-        )
-    else:
-        server = OracleServer(
-            args.socket, store=TraceStore(capacity=args.cache_size),
-            io_mode=args.io,
-        )
+    server = OracleServer(
+        None if tcp_address else args.socket,
+        tcp_address=tcp_address,
+        store=TraceStore(capacity=args.cache_size),
+    )
     server.start()
     # long-lived daemon: continuous profiling on by default (19 Hz;
     # PYTHIA_PROFILE_HZ=0 opts out, any other value overrides)
@@ -556,17 +543,9 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--workers", type=int, default=0, metavar="N",
                      help="run N worker processes behind a supervisor "
                           "(0 = single-process daemon)")
-    srv.add_argument("--routing", default="hash", choices=("hash", "kernel"),
-                     help="multi-worker routing: 'hash' pins sessions to "
-                          "workers by consistent hash; 'kernel' uses "
-                          "SO_REUSEPORT (TCP only, no stickiness)")
     srv.add_argument("--no-mmap", action="store_true",
                      help="multi-worker: parse JSON traces per worker "
                           "instead of sharing mmap'd artifacts")
-    srv.add_argument("--io", default=None, choices=("eventloop", "threads"),
-                     help="data-connection I/O model: 'eventloop' (one "
-                          "selectors loop, the default) or 'threads' "
-                          "(thread per connection); also PYTHIA_SERVER_IO")
     srv.add_argument("--http", type=int, default=None, metavar="PORT",
                      help="also serve the HTTP observability endpoint "
                           "(/metrics /healthz /ready /sessions.json "

@@ -348,6 +348,9 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_batch(self, values) -> None:
+        pass
+
     value = 0
     count = 0
     sum = 0.0

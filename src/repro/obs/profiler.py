@@ -5,7 +5,7 @@ default 0 = off; the daemon processes enable 19 Hz by default) and walks
 ``sys._current_frames()``, folding every thread's stack into a
 collapsed-stack histogram::
 
-    pythia-oracle;op:observe_predict;daemon._dispatch;... 148
+    pythia-oracle;op:observe_predict;daemon.dispatch;... 148
 
 Roots carry the thread name and — when the sampled thread is inside a
 tagged region (:func:`tag_op`, used by the daemon dispatch loop and

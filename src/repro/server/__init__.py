@@ -7,9 +7,10 @@ share anything.  This subsystem splits record from serve:
 - :mod:`repro.server.store` — :class:`TraceStore`, an LRU-bounded,
   concurrency-safe cache of loaded trace bundles (one load per trace
   file, shared by every session);
-- :mod:`repro.server.daemon` — :class:`OracleServer`, a threaded daemon
-  speaking a length-prefixed JSON protocol over a Unix socket (TCP
-  optional), one tracker per session, per-connection error isolation;
+- :mod:`repro.server.daemon` — :class:`OracleServer`, a daemon serving
+  every connection from one event loop (:mod:`repro.server.eventloop`)
+  over a Unix socket (TCP optional), both framings through one
+  dispatch, one tracker per session, per-connection error isolation;
 - :mod:`repro.server.client` — :class:`PythiaClient`, a drop-in
   predict-mode replacement for the :class:`~repro.core.oracle.Pythia`
   facade;

@@ -124,9 +124,7 @@ from repro.server.protocol import (
     encode_bin_frame,
     encode_json_frame,
     encode_payload,
-    read_frame,
     read_frame_any,
-    write_frame,
 )
 
 __all__ = ["OraclePipeline", "OracleServiceError", "PythiaClient", "RetryPolicy"]
@@ -382,11 +380,6 @@ class PythiaClient:
         self._flight = FlightRecorder(
             64, session=f"client.{os.path.basename(self.trace_path)}"
         )
-        #: preallocated send buffer: requests are small (tens of bytes
-        #: steady-state), so one reused 4 KiB scratch removes the
-        #: header+body concat allocation from every round trip; larger
-        #: frames (batch resyncs) fall back to the allocating path
-        self._send_buf = bytearray(4096)
         #: worker id the daemon advertised at open_session (multi-worker
         #: deployments; None for a single-process daemon)
         self._worker: int | None = None
@@ -536,50 +529,61 @@ class PythiaClient:
             "handler_us": handler_us,
         }
 
-    def _roundtrip(self, request: dict) -> dict:
-        """One framed exchange on the live socket.
+    def _encode(self, request: dict) -> bytes:
+        """The wire frame for ``request``, stamped for tracing.
 
-        Stamps the request with tracing context (fresh rid per
-        transmitted attempt — a retry must never reuse one) and records
-        the reply's latency decomposition.  Raises
-        :class:`_RetryableFailure` (after invalidating the connection)
-        for transport errors and for the daemon's retryable
-        ``shutting_down`` answer; raises the mapped facade exception
-        for every other error response.
+        Binary when negotiated and the request has a binary spelling,
+        else JSON.  A binary frame carries no ctx, so while unbound a
+        traced client keeps sending JSON with the full stamp until the
+        daemon binds its identity (and the supervisor routes by it).
+        Every encoded frame is one transmitted attempt and takes a
+        fresh rid — a retry must never reuse one; once bound the rid
+        travels implicitly (the daemon counts frames on the connection,
+        in lockstep with this counter).
         """
-        assert self._sock is not None
         traced = self._ctx
-        extra = None
-        bin_frame = None
+        frame = None
         if self._proto_state == "binary" and (not traced or self._sid_bound):
-            # a binary frame carries no ctx: while unbound, a traced
-            # client keeps stamping JSON so the daemon binds (and the
-            # supervisor routes) its identity first
-            bin_frame = self._bin_encode_request(request)
+            frame = self._bin_encode_request(request)
+        extra = None
         if traced:
             self._rid += 1
             if not self._sid_bound:
                 extra = self._ctx_prefix + str(self._rid) + "}"
-            # else: nothing to stamp — the daemon counts this request's
-            # rid itself on the bound connection (the stream delivers in
-            # order, so both counters stay in lockstep)
+        if frame is None:
+            frame = encode_json_frame(request, max_frame=self.max_frame, extra=extra)
+        return frame
+
+    def _read_reply(self, sock: socket.socket) -> dict:
+        """The next reply on ``sock`` as a response dict, either framing.
+
+        A reply carrying ``srv`` proves the daemon bound this client's
+        identity to the connection: requests need no stamp from then on.
+        """
+        reply = read_frame_any(sock, max_frame=self.max_frame)
+        if reply is None:
+            raise ProtocolError("daemon closed the connection")
+        response = reply[1] if reply[0] == "json" else self._bin_decode_reply(reply)
+        if "srv" in response:
+            self._sid_bound = True
+        return response
+
+    def _roundtrip(self, request: dict) -> dict:
+        """One framed exchange on the live socket.
+
+        Encodes the request (:meth:`_encode`) and records the reply's
+        latency decomposition.  Raises :class:`_RetryableFailure` (after
+        invalidating the connection) for transport errors and for the
+        daemon's retryable ``shutting_down`` answer; raises the mapped
+        facade exception for every other error response.
+        """
+        assert self._sock is not None
+        traced = self._ctx
+        frame = self._encode(request)
         t0 = perf_counter()
         try:
-            if bin_frame is not None:
-                self._sock.sendall(bin_frame)
-                reply = read_frame_any(self._sock, max_frame=self.max_frame)
-                if reply is None:
-                    raise ProtocolError("daemon closed the connection")
-                response = (
-                    reply[1] if reply[0] == "json"
-                    else self._bin_decode_reply(reply)
-                )
-            else:
-                write_frame(self._sock, request, max_frame=self.max_frame,
-                            extra=extra, scratch=self._send_buf)
-                response = read_frame(self._sock, max_frame=self.max_frame)
-                if response is None:
-                    raise ProtocolError("daemon closed the connection")
+            self._sock.sendall(frame)
+            response = self._read_reply(self._sock)
         except (OSError, ProtocolError) as exc:
             self._invalidate_connection()
             raise _RetryableFailure(exc) from exc
@@ -600,9 +604,6 @@ class PythiaClient:
             pend[0].append(total_s)
             queue_s = handler_s = None
             if srv is not None:
-                # the daemon echoed timing: our identity is bound to
-                # this connection, no stamp is needed from here on
-                self._sid_bound = True
                 if type(srv) is list and len(srv) == 2:
                     try:
                         queue_s = srv[0] / 1e6
@@ -1424,7 +1425,7 @@ class OraclePipeline:
             self.times.append(perf_counter())
             client._ring(self._thread).append((name, payload))
             return index
-        request = {
+        self._buf += client._encode({
             "op": "observe_predict",
             "session": client._sessions.get(self._thread),
             "name": name,
@@ -1432,21 +1433,7 @@ class OraclePipeline:
             "distance": distance,
             "with_time": with_time,
             "require_match": require_match,
-        }
-        traced = client._ctx
-        frame = None
-        if client._proto_state == "binary" and (not traced or client._sid_bound):
-            frame = client._bin_encode_request(request)
-        extra = None
-        if traced:
-            client._rid += 1
-            if not client._sid_bound:
-                extra = client._ctx_prefix + str(client._rid) + "}"
-        if frame is None:
-            frame = encode_json_frame(
-                request, max_frame=client.max_frame, extra=extra
-            )
-        self._buf += frame
+        })
         self._inflight.append((name, payload))
         if len(self._inflight) >= self.window or len(self._buf) >= self.FLUSH_BYTES:
             self._cycle()
@@ -1475,16 +1462,8 @@ class OraclePipeline:
             sock.sendall(self._buf)
             self._buf.clear()
             for item in self._inflight:
-                reply = read_frame_any(sock, max_frame=client.max_frame)
-                if reply is None:
-                    raise ProtocolError("daemon closed the connection")
-                response = (
-                    reply[1] if reply[0] == "json"
-                    else client._bin_decode_reply(reply)
-                )
+                response = client._read_reply(sock)
                 self.times.append(perf_counter())
-                if response.get("srv") is not None:
-                    client._sid_bound = True
                 if response.get("ok"):
                     self.results.append(
                         (response["matched"], client._pred(response))

@@ -1,8 +1,12 @@
 """The oracle daemon: many clients, one trace store, one process.
 
 :class:`OracleServer` listens on a Unix socket (TCP optionally) and
-speaks the length-prefixed JSON protocol of :mod:`repro.server.protocol`.
-Each connection is served by its own thread; each *session* owns one
+speaks both framings of :mod:`repro.server.protocol` — length-prefixed
+JSON and the binary v2 frames of the hot ops.  One selectors event loop
+(:mod:`repro.server.eventloop`) serves every connection, and every
+frame of either framing goes through :meth:`OracleServer.dispatch`:
+one handler table, one accounting epilogue, the reply encoded in the
+request's framing.  Each *session* owns one
 :class:`~repro.core.predict.PythiaPredict` tracker over a bundle shared
 through the :class:`~repro.server.store.TraceStore`, so concurrently
 running applications predict from one long-lived process instead of
@@ -31,6 +35,11 @@ Request ops
                    (``pythia-trace sessions`` prints it)
 ``metrics``        Prometheus text exposition of the process registry
                    (``pythia-trace metrics`` prints it)
+
+``observe``, ``observe_predict`` and ``predict`` also have a binary
+spelling: session ``sN`` travels as the number ``N`` and the event as
+the registry terminal the client resolved it to, so the same handler
+runs for both framings and predictions are byte-identical.
 
 Request tracing
 ---------------
@@ -100,34 +109,23 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, render_prometheus
 from repro.obs.process import register_process_metrics
 from repro.obs.sessions import DEFAULT_SESSION_CAPACITY, SessionEntry, SessionStats
+from repro.server.eventloop import ConnectionLoop
 from repro.server.protocol import (
     BIN_OPS,
     BIN_REQ,
     DEFAULT_MAX_FRAME,
-    F_HAS_SRV,
     F_MATCHED,
     F_REQUIRE_MATCH,
     F_UNKNOWN_EVENT,
     F_WITH_TIME,
-    OP_JSON,
-    OP_OBSERVE,
-    OP_OBSERVE_PREDICT,
-    OP_PREDICT,
-    OP_REPLY_ERROR,
     OP_REPLY_MATCHED,
     OP_REPLY_PREDICT,
-    SRV_PAIR,
-    ConnectionClosed,
-    ProtocolError,
-    _parse_json_body,
     decode_payload,
     encode_bin_error,
     encode_bin_frame,
     encode_bin_prediction,
-    encode_json_body,
+    encode_json_frame,
     encode_prediction,
-    read_frame_any,
-    write_frame,
 )
 from repro.server.store import TraceBundle, TraceStore
 
@@ -176,9 +174,6 @@ class _Session:
     thread: int
     tracker: PythiaPredict
     owner: int  # connection id, for cleanup when the connection dies
-    #: numeric spelling of ``session_id`` (``sN`` -> ``N``): what a
-    #: binary hot request carries instead of the string
-    num: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: the client-side session id from the opening request's ``ctx``,
     #: joining this daemon session to the SessionStats table row
@@ -186,22 +181,38 @@ class _Session:
 
 
 def _latency_view(hist: Histogram) -> dict[str, float]:
-    """One op's latency for the ``stats`` op.
-
-    ``count`` / ``total_ms`` / ``mean_us`` / ``max_us`` reproduce the
-    pre-observability ``_LatencyAgg`` shape and are kept as a deprecated
-    alias for one release; the percentile keys are the replacement.
-    """
+    """One op's latency for the ``stats`` op: sample count + percentiles."""
     snap = hist.snapshot()
-    mean = snap["sum"] / snap["count"] if snap["count"] else 0.0
     return {
         "count": snap["count"],
-        "total_ms": round(snap["sum"] * 1e3, 3),
-        "mean_us": round(mean * 1e6, 3),
-        "max_us": round(snap["max"] * 1e6, 3),
         "p50_us": round(snap["p50"] * 1e6, 3),
         "p95_us": round(snap["p95"] * 1e6, 3),
         "p99_us": round(snap["p99"] * 1e6, 3),
+    }
+
+
+#: where a decoded binary request keeps the terminal the client already
+#: resolved: not a string, so no JSON request can carry one
+_TERMINAL = object()
+
+#: the retryable refusal a draining daemon answers late requests with
+_DRAIN_ERROR = ("shutting_down", "daemon is draining; reconnect and retry")
+
+
+def _decode_binary(flags: int, body: bytes) -> dict:
+    """A binary hot request's body -> the request its JSON spelling carries."""
+    try:
+        snum, terminal, distance = BIN_REQ.unpack(body)
+    except struct.error as exc:
+        raise RequestError(
+            "bad_request", f"binary request body must be >IIH: {exc}"
+        ) from exc
+    return {
+        "session": f"s{snum}",
+        _TERMINAL: None if flags & F_UNKNOWN_EVENT else terminal,
+        "distance": distance,
+        "with_time": flags & F_WITH_TIME,
+        "require_match": flags & F_REQUIRE_MATCH,
     }
 
 
@@ -228,16 +239,6 @@ class OracleServer:
         *listener-less* server (both ``socket_path`` and
         ``tcp_address`` ``None``) that only serves connections handed
         to it via :meth:`adopt`.
-    reuse_port:
-        Bind the TCP listener with ``SO_REUSEPORT`` so several worker
-        processes can share one port and let the kernel balance
-        accepts (the supervisor's ``routing="kernel"`` mode).
-    io_mode:
-        ``"eventloop"`` (default) serves data connections from one
-        ``selectors``-based loop (:mod:`repro.server.eventloop`);
-        ``"threads"`` keeps the original thread-per-connection model.
-        ``PYTHIA_SERVER_IO`` sets the default; both modes speak both
-        framings and behave identically.
     """
 
     def __init__(
@@ -250,39 +251,26 @@ class OracleServer:
         max_candidates_limit: int = 4096,
         session_stats_capacity: int = DEFAULT_SESSION_CAPACITY,
         worker_id: int | None = None,
-        reuse_port: bool = False,
-        io_mode: str | None = None,
     ) -> None:
         if socket_path is not None and tcp_address is not None:
             raise ValueError("socket_path and tcp_address are mutually exclusive")
         if socket_path is None and tcp_address is None and worker_id is None:
             raise ValueError("exactly one of socket_path / tcp_address required")
-        if reuse_port and tcp_address is None:
-            raise ValueError("reuse_port requires a tcp_address")
-        if io_mode is None:
-            io_mode = os.environ.get("PYTHIA_SERVER_IO", "eventloop")
-        if io_mode not in ("eventloop", "threads"):
-            raise ValueError("io_mode must be 'eventloop' or 'threads'")
         self.socket_path = os.fspath(socket_path) if socket_path is not None else None
         self.tcp_address = tcp_address
         self.worker_id = worker_id
-        self.reuse_port = reuse_port
-        self.io_mode = io_mode
-        self._loop = None  # ConnectionLoop while io_mode == "eventloop"
         self.store = store if store is not None else TraceStore()
         self.max_frame = max_frame
         self.max_candidates_limit = max_candidates_limit
         self._started = False
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: set[threading.Thread] = set()
-        self._conns: dict[int, socket.socket] = {}
+        self._loop = None  # the ConnectionLoop, while started
         self._running = threading.Event()
         self._draining = threading.Event()
         self._inflight = 0
         self._lock = threading.Lock()
         self._sessions: dict[str, _Session] = {}
-        self._sessions_by_num: dict[int, _Session] = {}
         self._session_ids = itertools.count(1)
         self._conn_ids = itertools.count(1)
         self.counters = {
@@ -300,6 +288,8 @@ class OracleServer:
         #: registry as ``pythia_server_request_seconds{op=...,proto=...}``
         self._latency: dict[tuple[str, str], Histogram] = {}
         self._queue_latency: Histogram | None = None
+        #: request timings not yet folded into those histograms
+        self._timings: list[tuple[str, str, float, float]] = []
         #: bounded per-client-session telemetry (the ``sessions`` op);
         #: evicting an LRU entry also drops its metric series, so the
         #: labeled pythia_session_* cardinality tracks the table
@@ -342,12 +332,6 @@ class OracleServer:
         elif self.tcp_address is not None:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.reuse_port:
-                if not hasattr(socket, "SO_REUSEPORT"):
-                    raise RuntimeError(
-                        "SO_REUSEPORT is not available on this platform"
-                    )
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             listener.bind(self.tcp_address)
         if listener is not None:
             listener.listen(128)
@@ -363,10 +347,7 @@ class OracleServer:
         self.history = obs_history.history_from_env()
         if self.history is not None:
             self.history.start()
-        if self.io_mode == "eventloop":
-            from repro.server.eventloop import ConnectionLoop
-
-            self._loop = ConnectionLoop(self).start()
+        self._loop = ConnectionLoop(self).start()
         if listener is not None:
             self._accept_thread = threading.Thread(
                 target=self._accept_loop, name="pythia-accept", daemon=True
@@ -400,18 +381,7 @@ class OracleServer:
         if already:
             return
         _log.info("server_draining", deadline=deadline)
-        if self._listener is not None:
-            # shutdown wakes a thread blocked in accept() — close alone
-            # leaves it in the syscall holding the listener alive, so
-            # new connects would still land in the backlog
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         t0 = time.monotonic()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=deadline)
@@ -424,48 +394,40 @@ class OracleServer:
             leftover = self._inflight
         _log.info("server_drained", inflight_left=leftover)
 
+    def _close_listener(self) -> None:
+        if self._listener is None:
+            return
+        # shutdown wakes a thread blocked in accept() — close alone
+        # leaves it in the syscall holding the listener alive, so new
+        # connects would still land in the backlog
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+
     def stop(self) -> None:
         """Stop accepting, close every connection, unlink the socket."""
         if not self._started:
             return
         self._running.clear()
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self._close_listener()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
-        if self._loop is not None:
-            # the loop owns its sockets: it unregisters, closes and
-            # reaps them itself before the generic sweep below
-            self._loop.stop()
-            self._loop = None
-        with self._lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            # shutdown unblocks a connection thread parked in recv();
-            # close alone would leave it there until the client went away
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for t in list(self._conn_threads):
-            t.join(timeout=5)
+        # the loop owns every connection: it closes them and sweeps
+        # their sessions on the way out
+        self._loop.stop()
+        self._loop = None
         if self.socket_path is not None:
             try:
                 os.unlink(self.socket_path)
             except FileNotFoundError:
                 pass
         obs_metrics.get_registry().unregister_collector(self._collect_metrics)
+        self._fold_timings()
         if self.history is not None:
             self.history.stop()
             dump_dir = os.environ.get(obs_history.HISTORY_DIR_ENV)
@@ -519,7 +481,7 @@ class OracleServer:
             self.stop()
 
     # ------------------------------------------------------------------
-    # accept / connection loops
+    # connections
     # ------------------------------------------------------------------
 
     def _accept_loop(self) -> None:
@@ -529,10 +491,10 @@ class OracleServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            self._spawn_connection(conn)
+            self._add_connection(conn)
 
-    def _spawn_connection(self, conn: socket.socket) -> int:
-        """Register ``conn`` and serve it on its own thread."""
+    def _add_connection(self, conn: socket.socket) -> int:
+        """Hand ``conn`` to the event loop; returns its connection id."""
         if conn.family in (socket.AF_INET, getattr(socket, "AF_INET6", -1)):
             # small request frame, blocking reply read: the exact shape
             # Nagle penalizes (see PythiaClient._connect)
@@ -543,18 +505,7 @@ class OracleServer:
         conn_id = next(self._conn_ids)
         with self._lock:
             self.counters["connections_accepted"] += 1
-            self._conns[conn_id] = conn
-        if self._loop is not None:
-            self._loop.add(conn, conn_id)
-            return conn_id
-        t = threading.Thread(
-            target=self._serve_connection,
-            args=(conn, conn_id),
-            name=f"pythia-conn-{conn_id}",
-            daemon=True,
-        )
-        self._conn_threads.add(t)
-        t.start()
+        self._loop.add(conn, conn_id)
         return conn_id
 
     def adopt(self, conn: socket.socket) -> int:
@@ -567,147 +518,13 @@ class OracleServer:
         """
         if not self._started or not self._running.is_set():
             raise RuntimeError("server is not running")
-        conn.settimeout(None)  # accepted sockets are blocking
-        return self._spawn_connection(conn)
-
-    def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
-        """One client, fully isolated: its errors never leave this frame."""
-        # tracing binding: ``[sid, last_rid]``, set by the last full
-        # ``ctx`` seen on this connection.  Once bound, bare requests
-        # (no ctx at all) are traced implicitly with consecutive rids.
-        conn_ctx: list = [None, 0]
-        try:
-            while self._running.is_set():
-                try:
-                    frame = read_frame_any(conn, max_frame=self.max_frame)
-                except ProtocolError as exc:
-                    # bad framing is unrecoverable on a byte stream:
-                    # one final error frame if possible, then drop only
-                    # this connection — never keep reading garbage
-                    with self._lock:
-                        self.counters["connections_dropped"] += 1
-                    if not isinstance(exc, ConnectionClosed):
-                        self._try_send(
-                            conn, {"ok": False, "code": "protocol", "error": str(exc)}
-                        )
-                    return
-                if frame is None:
-                    return  # clean EOF
-                recv_ts = time.perf_counter()
-                request: dict | None = None
-                wrap = False  # reply inside an OP_JSON binary frame
-                if frame[0] == "json":
-                    request = frame[1]
-                else:
-                    _kind, opcode, bin_flags, bin_body = frame
-                    if opcode == OP_JSON:
-                        try:
-                            request = _parse_json_body(bin_body)
-                        except ProtocolError as exc:
-                            with self._lock:
-                                self.counters["connections_dropped"] += 1
-                            self._try_send(
-                                conn,
-                                {"ok": False, "code": "protocol", "error": str(exc)},
-                            )
-                            return
-                        wrap = True
-                with self._lock:
-                    rejected = self._draining.is_set() and (
-                        request is None
-                        or request.get("op") not in self._DRAIN_OPS
-                    )
-                    if rejected:
-                        self.counters["requests_rejected_draining"] += 1
-                    else:
-                        self._inflight += 1
-                if rejected:
-                    # late request during drain: refuse retryably (in
-                    # the request's own framing), keep the connection
-                    # so the client can close sessions
-                    reply = {
-                        "ok": False,
-                        "code": "shutting_down",
-                        "error": "daemon is draining; reconnect and retry",
-                    }
-                    if request is None:
-                        self._try_send_raw(
-                            conn, encode_bin_error(reply["code"], reply["error"])
-                        )
-                    elif wrap:
-                        self._try_send_raw(
-                            conn,
-                            encode_bin_frame(OP_JSON, 0, encode_json_body(reply)),
-                        )
-                    else:
-                        self._try_send(conn, reply)
-                    continue
-                try:
-                    if request is None:
-                        _kind, opcode, bin_flags, bin_body = frame
-                        reply_bytes = self._dispatch_binary(
-                            opcode, bin_flags, bin_body, conn_id, recv_ts, conn_ctx
-                        )
-                        try:
-                            conn.sendall(reply_bytes)
-                        except OSError:
-                            return
-                    else:
-                        response, extra = self._dispatch(
-                            request, conn_id, recv_ts, conn_ctx
-                        )
-                        try:
-                            if wrap:
-                                conn.sendall(encode_bin_frame(
-                                    OP_JSON, 0,
-                                    encode_json_body(response, extra=extra),
-                                    max_frame=self.max_frame,
-                                ))
-                            else:
-                                write_frame(
-                                    conn, response,
-                                    max_frame=self.max_frame, extra=extra,
-                                )
-                        except OSError:
-                            return
-                finally:
-                    with self._lock:
-                        self._inflight -= 1
-        except Exception:
-            # last-ditch isolation: an unexpected bug serving this client
-            # must not unwind into the daemon
-            with self._lock:
-                self.counters["connections_dropped"] += 1
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._close_owned_sessions(conn_id)
-            with self._lock:
-                self._conns.pop(conn_id, None)
-            self._conn_threads.discard(threading.current_thread())
-
-    @staticmethod
-    def _try_send(conn: socket.socket, obj: dict) -> None:
-        try:
-            write_frame(conn, obj)
-        except OSError:
-            pass
-
-    @staticmethod
-    def _try_send_raw(conn: socket.socket, data: bytes) -> None:
-        try:
-            conn.sendall(data)
-        except OSError:
-            pass
+        return self._add_connection(conn)
 
     def _close_owned_sessions(self, conn_id: int) -> None:
         with self._lock:
             dead = [s for s in self._sessions.values() if s.owner == conn_id]
             for s in dead:
                 del self._sessions[s.session_id]
-                self._sessions_by_num.pop(s.num, None)
                 self.counters["sessions_closed"] += 1
 
     # ------------------------------------------------------------------
@@ -733,32 +550,62 @@ class OracleServer:
             rid = None
         return sid, rid
 
-    def _dispatch(
-        self,
-        request: dict,
-        conn_id: int,
-        recv_ts: float | None = None,
-        conn_ctx: list | None = None,
-    ) -> tuple[dict, str | None]:
-        """Handle one request; returns ``(response, extra)``.
+    def dispatch(
+        self, frame: tuple, conn_id: int, recv_ts: float, conn_ctx: list
+    ) -> bytes:
+        """Serve one request frame of either framing; returns the reply frame.
 
-        ``extra`` is the reply's pre-serialized ``srv`` timing fragment
-        (or ``None`` for untraced requests) — spliced into the frame by
-        the serve loop so the per-reply timing never pays the JSON
-        encoder.  ``conn_ctx`` is the connection's ``[sid, last_rid]``
-        binding: a full ``ctx`` stores its identity there, and bare
-        requests on a bound connection inherit the sid with the next
-        consecutive rid (the stream delivers in order, so counting
-        arrivals reproduces the client's own rid counter exactly).
+        ``frame`` is what :class:`~repro.server.protocol.FrameParser`
+        yields: ``("json", request)`` or ``("bin", opcode, flags,
+        body)``.  A binary frame decodes into the request its JSON
+        spelling would carry, so both framings run the same handler and
+        the same accounting — counters, per-(op, proto) latency, queue
+        time, session telemetry, spans — and the reply goes out in the
+        request's framing.  While draining, anything but
+        :attr:`_DRAIN_OPS` gets the retryable ``shutting_down`` refusal.
+
+        ``recv_ts`` is the frame's arrival time: queue time runs from
+        there to handler start.  ``conn_ctx`` is the connection's
+        ``[sid, last_rid]`` tracing binding: a full ``ctx`` stores its
+        identity there, and bare requests — every binary frame is bare —
+        inherit the sid with the next consecutive rid (the stream
+        delivers in order, so counting arrivals reproduces the client's
+        own rid counter exactly).  A traced request's reply carries its
+        ``(queue_us, handler_us)`` timing: ``srv`` in JSON, a
+        :data:`~repro.server.protocol.F_HAS_SRV` body prefix in
+        binary.
         """
-        op = request.get("op")
-        handler = self._HANDLERS.get(op)
-        if "ctx" in request:
+        binary = frame[0] == "bin"
+        if binary:
+            op = BIN_OPS.get(frame[1])
+        else:
+            request = frame[1]
+            op = request.get("op")
+            if not isinstance(op, str):
+                op = None  # client-controlled: may not even be hashable
+        # explicit acquire/release: measurably cheaper than ``with`` on
+        # this twice-per-request path
+        lock = self._lock
+        lock.acquire()
+        try:
+            if self._draining.is_set() and op not in self._DRAIN_OPS:
+                self.counters["requests_rejected_draining"] += 1
+                refused = True
+            else:
+                self._inflight += 1
+                refused = False
+        finally:
+            lock.release()
+        if refused:
+            # late request during drain: refuse retryably, keep the
+            # connection so the client can still close its sessions
+            return self._encode_error(binary, _DRAIN_ERROR)
+        if not binary and "ctx" in request:
             sid, rid = self._request_ctx(request)
-            if sid is not None and conn_ctx is not None:
+            if sid is not None:
                 conn_ctx[0] = sid
                 conn_ctx[1] = rid if rid is not None else 0
-        elif conn_ctx is not None and conn_ctx[0] is not None:
+        elif conn_ctx[0] is not None:
             sid = conn_ctx[0]
             rid = conn_ctx[1] = conn_ctx[1] + 1
             if op == "open_session":
@@ -767,268 +614,77 @@ class OracleServer:
                 request["ctx"] = {"sid": sid, "rid": rid}
         else:
             sid = rid = None
+        handler = self._HANDLERS.get(op)
         t0 = time.perf_counter()
         # queue time: frame fully received -> handler start (the drain
-        # check and daemon-lock waits live in this interval)
-        queue_s = max(0.0, t0 - recv_ts) if recv_ts is not None else 0.0
+        # gate and daemon-lock waits live in this interval)
+        queue_s = t0 - recv_ts if t0 > recv_ts else 0.0
         try:
             if handler is None:
-                raise RequestError("unknown_op", f"unknown request op {op!r}")
-            # free while no profiler runs; attributes samples to the op
-            with obs_profiler.tag_op(op):
+                raise RequestError(
+                    "unknown_op",
+                    f"unknown binary opcode 0x{frame[1]:02x}" if binary
+                    else f"unknown request op {request.get('op')!r}",
+                )
+            if binary:
+                request = _decode_binary(frame[2], frame[3])
+            if obs_profiler._profiler is None:  # inlined tag_op(): hot path
                 response = handler(self, request, conn_id)
-            response["ok"] = True
+            else:
+                # attributes the sampling profiler's samples to the op
+                with obs_profiler.tag_op(op):
+                    response = handler(self, request, conn_id)
+            error = None
         except RequestError as exc:
-            with self._lock:
-                self.counters["requests_failed"] += 1
-            response = {"ok": False, "code": exc.code, "error": str(exc)}
+            error = (exc.code, str(exc))
         except (FileNotFoundError, TraceFormatError, KeyError, ValueError, TypeError) as exc:
-            with self._lock:
-                self.counters["requests_failed"] += 1
             code = {
                 FileNotFoundError: "trace_not_found",
                 TraceFormatError: "trace_format",
                 KeyError: "no_such_thread",
             }.get(type(exc), "bad_request")
             # KeyError reprs its message; unwrap just that one
-            message = str(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
-            response = {"ok": False, "code": code, "error": message}
+            error = (code, str(exc.args[0]) if isinstance(exc, KeyError) and exc.args
+                     else str(exc))
         except Exception as exc:  # defensive: never leak an exception
-            with self._lock:
-                self.counters["requests_failed"] += 1
-            response = {"ok": False, "code": "internal", "error": f"{type(exc).__name__}: {exc}"}
+            error = ("internal", f"{type(exc).__name__}: {exc}")
         handler_s = time.perf_counter() - t0
         # bucket unknown ops together: op names are client-controlled
         # and must not grow the latency table without bound
-        key = op if isinstance(op, str) and op in self._HANDLERS else "<unknown>"
-        self._observe_latency(key, "json", handler_s)
-        if recv_ts is not None:
-            qhist = self._queue_latency
-            if qhist is None:
-                qhist = obs_metrics.get_registry().histogram(
-                    "pythia_server_queue_seconds",
-                    buckets=LATENCY_BUCKETS_S,
-                    help="Frame arrival to handler start (dispatch queue time)",
-                )
-                self._queue_latency = qhist
-            qhist.observe(queue_s)
-        extra = None
-        if sid is not None:
-            # reply timing: lets the client decompose its observed
-            # round-trip into wire / queue / handler components.  A
-            # positional pair of integer µs (whole-µs resolution is
-            # plenty at socket-RTT scale) in a pre-serialized fragment —
-            # this rides every traced reply, so it pays neither the
-            # dict encoder nor the bytes of spelled-out keys.  The rid
-            # is not echoed: the connection answers in order, so the
-            # client correlates replies itself; a malformed rid shows
-            # up in the session table (last_rid stops moving), not on
-            # the wire.
-            extra = ',"srv":[%d,%d]' % (
-                int(queue_s * 1e6),
-                int(handler_s * 1e6),
-            )
-            # session accounting is deferred: append the raw sample to
-            # the table's shared buffer (one lock-free list append — the
-            # shared list keeps cross-connection arrival order, so rid
-            # continuity folds exactly) and fold in batches
-            pending = self.session_stats.pending
-            pending.append((sid, key, rid, queue_s, handler_s, not response["ok"]))
-            if len(pending) >= 64:
-                self.session_stats.fold()
-        rec = obs_spans._recorder  # inlined get_recorder(): per-request path
-        if rec is not None:
-            attrs: dict = {"op": key, "queue_us": int(queue_s * 1e6),
-                           "handler_us": int(handler_s * 1e6)}
-            if sid is not None:
-                attrs["sid"] = sid
-            if rid is not None:
-                attrs["rid"] = rid
-            rec.emit(f"server.{key}", t0, handler_s, **attrs)
-        return response, extra
-
-    def _observe_latency(self, op_key: str, proto: str, handler_s: float) -> None:
-        """Record handler latency under ``{op=..., proto=...}``.
-
-        ``requests_total`` rides along: every dispatch, either framing,
-        lands here exactly once.
-        """
-        with self._lock:
-            self.counters["requests_total"] += 1
-            hist = self._latency.get((op_key, proto))
-        if hist is None:
-            hist = obs_metrics.get_registry().histogram(
-                "pythia_server_request_seconds",
-                {"op": op_key, "proto": proto},
-                buckets=LATENCY_BUCKETS_S,
-                help="Request handling latency per op and framing",
-            )
-            with self._lock:
-                self._latency.setdefault((op_key, proto), hist)
-        hist.observe(handler_s)
-
-    def _observe_queue(self, queue_s: float) -> None:
-        qhist = self._queue_latency
-        if qhist is None:
-            qhist = obs_metrics.get_registry().histogram(
-                "pythia_server_queue_seconds",
-                buckets=LATENCY_BUCKETS_S,
-                help="Frame arrival to handler start (dispatch queue time)",
-            )
-            self._queue_latency = qhist
-        qhist.observe(queue_s)
-
-    # ------------------------------------------------------------------
-    # binary dispatch (protocol v2 hot ops)
-    # ------------------------------------------------------------------
-
-    def _dispatch_binary(
-        self,
-        opcode: int,
-        flags: int,
-        body: bytes,
-        conn_id: int,
-        recv_ts: float | None = None,
-        conn_ctx: list | None = None,
-    ) -> bytes:
-        """Handle one binary hot request; returns the reply frame bytes.
-
-        The binary spelling of ``observe`` / ``observe_predict`` /
-        ``predict``: the client already resolved ``(name, payload)`` to
-        a terminal id against the registry it fetched at
-        ``open_session`` (or set :data:`F_UNKNOWN_EVENT` when the
-        lookup missed), so the handler is the same tracker call the
-        JSON path makes — predictions are byte-identical.  Accounting
-        mirrors :meth:`_dispatch` exactly: counters, per-(op, proto)
-        latency, queue time, implicit-rid session telemetry, spans, and
-        the traced-reply timing pair (:data:`F_HAS_SRV` + a
-        ``(queue_us, handler_us)`` body prefix, the binary ``srv``).
-        """
-        op = BIN_OPS.get(opcode)
-        if conn_ctx is not None and conn_ctx[0] is not None:
-            # binary frames never carry ctx: on a bound connection they
-            # are "bare" requests and inherit the next consecutive rid
-            sid = conn_ctx[0]
-            rid = conn_ctx[1] = conn_ctx[1] + 1
-        else:
-            sid = rid = None
-        t0 = time.perf_counter()
-        queue_s = max(0.0, t0 - recv_ts) if recv_ts is not None else 0.0
-        failed = False
+        key = op if handler is not None else "<unknown>"
+        proto = "binary" if binary else "json"
+        failed = error is not None
+        lock.acquire()
         try:
-            if op is None:
-                raise RequestError(
-                    "unknown_op", f"unknown binary opcode 0x{opcode:02x}"
-                )
-            try:
-                snum, terminal, distance = BIN_REQ.unpack(body)
-            except struct.error as exc:
-                raise RequestError(
-                    "bad_request", f"binary request body must be >IIH: {exc}"
-                ) from exc
-            with self._lock:
-                session = self._sessions_by_num.get(snum)
-            if session is None:
-                raise RequestError(
-                    "no_such_session", f"unknown session s{snum}"
-                )
-            with obs_profiler.tag_op(op):
-                if opcode == OP_PREDICT:
-                    if distance < 1:
-                        raise RequestError(
-                            "bad_request", "'distance' must be a positive integer"
-                        )
-                    with session.lock:
-                        pred = session.tracker.predict(
-                            distance, with_time=bool(flags & F_WITH_TIME)
-                        )
-                    with self._lock:
-                        self.counters["predictions_served"] += 1
-                    pred_flags, pred_body = encode_bin_prediction(pred)
-                    reply = (OP_REPLY_PREDICT, pred_flags, pred_body)
-                else:
-                    # observe / observe_predict share the observe half
-                    unknown = bool(flags & F_UNKNOWN_EVENT)
-                    if not unknown and not (
-                        0 <= terminal < len(session.bundle.registry)
-                    ):
-                        raise RequestError(
-                            "bad_request", f"terminal {terminal} not in registry"
-                        )
-                    if opcode == OP_OBSERVE:
-                        with session.lock:
-                            matched = (
-                                session.tracker.observe_unknown()
-                                if unknown
-                                else session.tracker.observe(terminal)
-                            )
-                        with self._lock:
-                            self.counters["events_observed"] += 1
-                        reply = (
-                            OP_REPLY_MATCHED,
-                            F_MATCHED if matched else 0,
-                            b"",
-                        )
-                    else:  # OP_OBSERVE_PREDICT
-                        if distance < 1:
-                            raise RequestError(
-                                "bad_request",
-                                "'distance' must be a positive integer",
-                            )
-                        require_match = bool(flags & F_REQUIRE_MATCH)
-                        with session.lock:
-                            matched = (
-                                session.tracker.observe_unknown()
-                                if unknown
-                                else session.tracker.observe(terminal)
-                            )
-                            predicted = not (require_match and not matched)
-                            pred = (
-                                session.tracker.predict(
-                                    distance,
-                                    with_time=bool(flags & F_WITH_TIME),
-                                )
-                                if predicted
-                                else None
-                            )
-                        with self._lock:
-                            self.counters["events_observed"] += 1
-                            if predicted:
-                                self.counters["predictions_served"] += 1
-                        pred_flags, pred_body = encode_bin_prediction(pred)
-                        if matched:
-                            pred_flags |= F_MATCHED
-                        reply = (OP_REPLY_PREDICT, pred_flags, pred_body)
-        except RequestError as exc:
-            failed = True
-            with self._lock:
+            self._inflight -= 1
+            self.counters["requests_total"] += 1
+            if failed:
                 self.counters["requests_failed"] += 1
-            reply = None
-            err = (exc.code, str(exc))
-        except Exception as exc:  # defensive: never leak an exception
-            failed = True
-            with self._lock:
-                self.counters["requests_failed"] += 1
-            reply = None
-            err = ("internal", f"{type(exc).__name__}: {exc}")
-        handler_s = time.perf_counter() - t0
-        key = op if op is not None else "<unknown>"
-        self._observe_latency(key, "binary", handler_s)
-        if recv_ts is not None:
-            self._observe_queue(queue_s)
-        srv_prefix = b""
+        finally:
+            lock.release()
+        timings = self._timings
+        timings.append((key, proto, queue_s, handler_s))
+        if len(timings) >= 64:
+            self._fold_timings()
+        srv = None
         if sid is not None:
-            srv_prefix = SRV_PAIR.pack(
-                min(int(queue_s * 1e6), 0xFFFFFFFF),
-                min(int(handler_s * 1e6), 0xFFFFFFFF),
-            )
+            # reply timing in whole µs (plenty at socket-RTT scale):
+            # lets the client split its round trip into wire / queue /
+            # handler.  No rid is echoed — the connection answers in
+            # order, so the client correlates replies itself; a
+            # malformed rid shows up in the session table (last_rid
+            # stops moving), not on the wire.
+            srv = (int(queue_s * 1e6), int(handler_s * 1e6))
+            # session accounting is deferred too: the shared list keeps
+            # cross-connection arrival order, so rid continuity folds
+            # exactly
             pending = self.session_stats.pending
             pending.append((sid, key, rid, queue_s, handler_s, failed))
             if len(pending) >= 64:
                 self.session_stats.fold()
         rec = obs_spans._recorder  # inlined get_recorder(): per-request path
         if rec is not None:
-            attrs: dict = {"op": key, "proto": "binary",
+            attrs: dict = {"op": key, "proto": proto,
                            "queue_us": int(queue_s * 1e6),
                            "handler_us": int(handler_s * 1e6)}
             if sid is not None:
@@ -1036,23 +692,80 @@ class OracleServer:
             if rid is not None:
                 attrs["rid"] = rid
             rec.emit(f"server.{key}", t0, handler_s, **attrs)
-        if reply is None:
-            # error frames carry the timing prefix too; F_HAS_SRV tells
-            # the decoder where the JSON error body starts
-            reply = (
-                OP_REPLY_ERROR, 0,
-                encode_json_body({"code": err[0], "error": err[1]}),
+        if failed:
+            return self._encode_error(binary, error, srv)
+        if binary:
+            flags = F_MATCHED if response.get("matched") else 0
+            if "prediction" not in response:
+                return encode_bin_frame(OP_REPLY_MATCHED, flags, srv=srv)
+            pred_flags, body = encode_bin_prediction(response["prediction"])
+            return encode_bin_frame(OP_REPLY_PREDICT, flags | pred_flags, body, srv=srv)
+        response["ok"] = True
+        if "prediction" in response:
+            response["prediction"] = encode_prediction(response["prediction"])
+        return encode_json_frame(
+            response, max_frame=self.max_frame,
+            extra=None if srv is None else ',"srv":[%d,%d]' % srv,
+        )
+
+    def _encode_error(
+        self, binary: bool, error: tuple[str, str], srv: tuple | None = None
+    ) -> bytes:
+        """``(code, message)`` as an error reply in the request's framing."""
+        code, message = error
+        if binary:
+            return encode_bin_error(code, message, srv=srv)
+        return encode_json_frame(
+            {"ok": False, "code": code, "error": message},
+            max_frame=self.max_frame,
+            extra=None if srv is None else ',"srv":[%d,%d]' % srv,
+        )
+
+    def _fold_timings(self) -> None:
+        """Fold buffered ``(op, proto, queue_s, handler_s)`` request
+        timings into the latency and queue histograms.
+
+        The request path only appends (one lock-free list append);
+        this runs every 64 requests and before anything reads the
+        histograms — the ``stats`` op, and every registry collect via
+        :meth:`_collect_metrics`.  Safe against concurrent producers:
+        the buffered prefix is sliced out under the lock while appends
+        keep landing beyond it.
+        """
+        timings = self._timings
+        with self._lock:
+            n = len(timings)
+            items = timings[:n]
+            del timings[:n]
+        if not items:
+            return
+        registry = obs_metrics.get_registry()
+        if self._queue_latency is None:
+            self._queue_latency = registry.histogram(
+                "pythia_server_queue_seconds",
+                buckets=LATENCY_BUCKETS_S,
+                help="Frame arrival to handler start (dispatch queue time)",
             )
-        opcode_out, flags_out, body_out = reply
-        if srv_prefix:
-            flags_out |= F_HAS_SRV
-            body_out = srv_prefix + body_out
-        return encode_bin_frame(opcode_out, flags_out, body_out)
+        self._queue_latency.observe_batch([queue_s for _k, _p, queue_s, _h in items])
+        by_key: dict[tuple[str, str], list[float]] = {}
+        for op_key, proto, _queue_s, handler_s in items:
+            by_key.setdefault((op_key, proto), []).append(handler_s)
+        for (op_key, proto), samples in by_key.items():
+            hist = self._latency.get((op_key, proto))
+            if hist is None:
+                hist = registry.histogram(
+                    "pythia_server_request_seconds",
+                    {"op": op_key, "proto": proto},
+                    buckets=LATENCY_BUCKETS_S,
+                    help="Request handling latency per op and framing",
+                )
+                with self._lock:
+                    hist = self._latency.setdefault((op_key, proto), hist)
+            hist.observe_batch(samples)
 
     def _session(self, request: dict) -> _Session:
         sid = request.get("session")
-        with self._lock:
-            session = self._sessions.get(sid)
+        session = self._sessions.get(sid)  # one dict read: atomic, no lock
         if session is None:
             raise RequestError("no_such_session", f"unknown session {sid!r}")
         return session
@@ -1085,11 +798,9 @@ class OracleServer:
         with self._lock:
             num = next(self._session_ids)
             sid = f"s{num}"
-            session = _Session(
-                sid, bundle, thread, tracker, conn_id, num=num, ctx_sid=ctx_sid
+            self._sessions[sid] = _Session(
+                sid, bundle, thread, tracker, conn_id, ctx_sid=ctx_sid
             )
-            self._sessions[sid] = session
-            self._sessions_by_num[num] = session
             self.counters["sessions_opened"] += 1
         if flight_capacity:
             # fold the client's session id into the recorder name so
@@ -1124,24 +835,63 @@ class OracleServer:
         session = self._session(request)
         with self._lock:
             self._sessions.pop(session.session_id, None)
-            self._sessions_by_num.pop(session.num, None)
             self.counters["sessions_closed"] += 1
         return {"session": session.session_id}
 
-    def _observe_one(self, session: _Session, name, payload) -> bool:
-        """Mirror of ``Pythia.event`` in predict mode (same semantics)."""
-        if not isinstance(name, str):
-            raise RequestError("bad_request", "'name' must be a string")
-        terminal = session.bundle.registry.lookup(Event(name, decode_payload(payload)))
+    @staticmethod
+    def _distance(request: dict) -> int:
+        distance = request.get("distance", 1)
+        if not isinstance(distance, int) or distance < 1:
+            raise RequestError("bad_request", "'distance' must be a positive integer")
+        return distance
+
+    @staticmethod
+    def _observe(session: _Session, request: dict, events: list | None) -> list[bool]:
+        """Feed the request's events to the tracker (``session.lock`` held).
+
+        ``events`` is a JSON batch of ``[name]`` / ``[name, payload]``
+        items, or None for the single event a request carries: a binary
+        frame's terminal — resolved by the client against the registry
+        it fetched at ``open_session``, so only range-checked here — or
+        a JSON ``name``/``payload``.  Names resolve exactly as
+        ``Pythia.event`` resolves them, and an event the reference run
+        never recorded takes the same ``observe_unknown`` path whichever
+        framing carried it.
+        """
         tracker = session.tracker
-        if terminal is None:
-            return tracker.observe_unknown()
-        return tracker.observe(terminal)
+        registry = session.bundle.registry
+        if events is None:
+            if _TERMINAL not in request:
+                events = ((request.get("name"), request.get("payload")),)
+            else:
+                terminal = request[_TERMINAL]
+                if terminal is None:
+                    return [tracker.observe_unknown()]
+                if not 0 <= terminal < len(registry):
+                    raise RequestError(
+                        "bad_request", f"terminal {terminal} not in registry"
+                    )
+                return [tracker.observe(terminal)]
+        matched = []
+        for item in events:
+            if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
+                raise RequestError(
+                    "bad_request", "each event must be [name] or [name, payload]"
+                )
+            if not isinstance(item[0], str):
+                raise RequestError("bad_request", "'name' must be a string")
+            payload = decode_payload(item[1] if len(item) == 2 else None)
+            terminal = registry.lookup(Event(item[0], payload))
+            matched.append(
+                tracker.observe_unknown() if terminal is None
+                else tracker.observe(terminal)
+            )
+        return matched
 
     def _op_observe(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
         with session.lock:
-            matched = self._observe_one(session, request.get("name"), request.get("payload"))
+            (matched,) = self._observe(session, request, None)
         with self._lock:
             self.counters["events_observed"] += 1
         return {"matched": matched}
@@ -1151,16 +901,8 @@ class OracleServer:
         events = request.get("events")
         if not isinstance(events, list):
             raise RequestError("bad_request", "'events' must be a list of [name, payload]")
-        matched: list[bool] = []
         with session.lock:
-            for item in events:
-                if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
-                    raise RequestError(
-                        "bad_request", "each event must be [name] or [name, payload]"
-                    )
-                name = item[0]
-                payload = item[1] if len(item) == 2 else None
-                matched.append(self._observe_one(session, name, payload))
+            matched = self._observe(session, request, events)
         with self._lock:
             self.counters["events_observed"] += len(matched)
         return {"matched": matched}
@@ -1175,30 +917,16 @@ class OracleServer:
         event mismatched and ``prediction`` is ``null``.
         """
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with_time = bool(request.get("with_time", False))
         require_match = bool(request.get("require_match", False))
         events = request.get("events")
-        batched = events is not None
-        if batched:
-            if not isinstance(events, list) or not events:
-                raise RequestError(
-                    "bad_request", "'events' must be a non-empty list of [name, payload]"
-                )
-        else:
-            events = [[request.get("name"), request.get("payload")]]
-        matched: list[bool] = []
+        if events is not None and (not isinstance(events, list) or not events):
+            raise RequestError(
+                "bad_request", "'events' must be a non-empty list of [name, payload]"
+            )
         with session.lock:
-            for item in events:
-                if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
-                    raise RequestError(
-                        "bad_request", "each event must be [name] or [name, payload]"
-                    )
-                name = item[0]
-                payload = item[1] if len(item) == 2 else None
-                matched.append(self._observe_one(session, name, payload))
+            matched = self._observe(session, request, events)
             predicted = not (require_match and not matched[-1])
             pred = (
                 session.tracker.predict(distance, with_time=with_time)
@@ -1210,27 +938,23 @@ class OracleServer:
             if predicted:
                 self.counters["predictions_served"] += 1
         return {
-            "matched": matched if batched else matched[0],
-            "prediction": encode_prediction(pred),
+            "matched": matched if events is not None else matched[0],
+            "prediction": pred,
         }
 
     def _op_predict(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with_time = bool(request.get("with_time", False))
         with session.lock:
             pred = session.tracker.predict(distance, with_time=with_time)
         with self._lock:
             self.counters["predictions_served"] += 1
-        return {"prediction": encode_prediction(pred)}
+        return {"prediction": pred}
 
     def _op_predict_duration(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with session.lock:
             eta = session.tracker.predict_duration(distance)
         with self._lock:
@@ -1244,9 +968,7 @@ class OracleServer:
         saving the client a registry fetch (the CLI uses it).
         """
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         top_k = request.get("top_k", 3)
         if not isinstance(top_k, int) or not 1 <= top_k <= 64:
             raise RequestError("bad_request", "'top_k' must be in [1, 64]")
@@ -1294,6 +1016,7 @@ class OracleServer:
             session = self._session(request)
             with session.lock:
                 return {"session_stats": session.tracker.stats()}
+        self._fold_timings()
         with self._lock:
             # the stats view stays keyed by op (its pre-v2 shape):
             # per-proto histograms of one op merge into a detached
@@ -1480,6 +1203,7 @@ class OracleServer:
 
     def _collect_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
         """Scrape-time collector: daemon counters, store and live trackers."""
+        self._fold_timings()
         with self._lock:
             counters = dict(self.counters)
             sessions = list(self._sessions.values())

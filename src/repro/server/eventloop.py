@@ -1,19 +1,21 @@
 """``selectors``-based connection serving for the oracle daemon.
 
-Thread-per-connection was fine while a handful of applications talked
-to the daemon, but protocol v2's pipelining changes the shape of the
-load: one client may keep dozens of requests in flight, and a runtime
-host can hold hundreds of mostly-idle connections open.  A parked
-thread per connection costs a stack and a scheduler slot for nothing;
-an event loop costs one registered fd.
+Protocol v2's pipelining shapes the load: one client may keep dozens
+of requests in flight, and a runtime host can hold hundreds of mostly
+idle connections open.  A parked thread per connection costs a stack
+and a scheduler slot for nothing; an event loop costs one registered
+fd.
 
-:class:`ConnectionLoop` serves every *data* connection of an
+:class:`ConnectionLoop` serves every connection of an
 :class:`~repro.server.daemon.OracleServer` from a single selector
 thread:
 
 - sockets are non-blocking; raw chunks feed a per-connection
   :class:`~repro.server.protocol.FrameParser`, which yields complete
   frames of either framing (JSON or binary) in arrival order;
+- every frame goes to :meth:`OracleServer.dispatch
+  <repro.server.daemon.OracleServer.dispatch>`, which owns the drain
+  gate, the handlers and all accounting, and returns the reply bytes;
 - fast ops dispatch inline on the loop thread — the tracker work behind
   ``observe_predict`` is microseconds, far below the cost of a thread
   handoff;
@@ -30,13 +32,6 @@ thread:
   connection is closed: after a bad length announcement the byte
   stream has no resync point, and the parser stays poisoned so the
   loop can never read garbage as frames.
-
-Accounting — counters, ``_inflight`` for drain, drain-time rejection
-with the retryable ``shutting_down`` code, per-(op, proto) latency
-histograms, session telemetry — goes through the server's own
-``_dispatch`` / ``_dispatch_binary``, so both io modes are
-behaviorally identical; ``PYTHIA_SERVER_IO=threads`` brings the old
-mode back.
 """
 
 from __future__ import annotations
@@ -48,33 +43,14 @@ import threading
 import time
 from collections import deque
 
-from repro.obs.log import get_logger
-from repro.server.protocol import (
-    OP_JSON,
-    ConnectionClosed,
-    FrameParser,
-    ProtocolError,
-    encode_bin_error,
-    encode_bin_frame,
-    encode_json_body,
-    encode_json_frame,
-    _parse_json_body,
-)
+from repro.server.protocol import FrameParser, ProtocolError, encode_json_frame
 
 __all__ = ["ConnectionLoop", "SLOW_OPS"]
-
-_log = get_logger("server.loop")
 
 #: ops whose handlers may block for wall-clock time (trace compile,
 #: profiler windows); they run on the sidecar thread so the loop keeps
 #: serving every other connection meanwhile
 SLOW_OPS = frozenset({"open_session", "profile_dump"})
-
-_DRAIN_REPLY = {
-    "ok": False,
-    "code": "shutting_down",
-    "error": "daemon is draining; reconnect and retry",
-}
 
 _RECV_CHUNK = 1 << 16
 
@@ -92,8 +68,7 @@ class _Conn:
         self.conn_id = conn_id
         self.parser = FrameParser(max_frame)
         self.out = bytearray()
-        #: tracing binding ``[sid, last_rid]`` — same shape the threaded
-        #: serve loop passes to ``_dispatch``
+        #: tracing binding ``[sid, last_rid]`` (see ``OracleServer.dispatch``)
         self.ctx: list = [None, 0]
         self.busy = False  # a slow op is in flight on the sidecar
         self.eof = False  # peer EOF seen; close once idle and flushed
@@ -103,7 +78,7 @@ class _Conn:
 
 
 class ConnectionLoop:
-    """One selector thread serving all of a server's data connections."""
+    """One selector thread serving all of a server's connections."""
 
     def __init__(self, server) -> None:
         self._server = server
@@ -151,7 +126,9 @@ class ConnectionLoop:
         # the loop thread is gone; reap anything it still held
         for conn in list(self._conns.values()):
             self._close(conn)
-        self._conns.clear()
+        while self._pending_add:
+            sock, _conn_id = self._pending_add.popleft()
+            sock.close()
         try:
             self._sel.close()
         except OSError:
@@ -226,7 +203,6 @@ class ConnectionLoop:
             self._sel.register(sock, selectors.EVENT_READ, conn)
 
     def _drain_completions(self) -> None:
-        server = self._server
         while self._completions:
             conn, reply, ok = self._completions.popleft()
             conn.busy = False
@@ -234,16 +210,12 @@ class ConnectionLoop:
                 # the connection died while its slow op ran; a session
                 # the op just opened would otherwise leak with a dead
                 # owner, so sweep again
-                server._close_owned_sessions(conn.conn_id)
-                continue
-            if not ok:
-                with server._lock:
-                    server.counters["connections_dropped"] += 1
-                conn.closing = True
-                self._flush(conn)
-                continue
-            conn.out += reply
-            self._pump(conn)
+                self._server._close_owned_sessions(conn.conn_id)
+            elif not ok:
+                self._drop(conn)
+            else:
+                conn.out += reply
+                self._pump(conn)
 
     # -- per-connection events ------------------------------------------
 
@@ -268,7 +240,10 @@ class ConnectionLoop:
             try:
                 frame = conn.parser.next_frame()
             except ProtocolError as exc:
-                self._protocol_error(conn, exc)
+                # bad framing: one final error frame, then close (no resync)
+                self._drop(conn, encode_json_frame(
+                    {"ok": False, "code": "protocol", "error": str(exc)}
+                ))
                 return
             if frame is None:
                 break
@@ -283,117 +258,43 @@ class ConnectionLoop:
             else:
                 self._close(conn)
 
-    def _protocol_error(self, conn: _Conn, exc: ProtocolError) -> None:
-        """Bad framing: one final error frame, then close (no resync)."""
+    def _drop(self, conn: _Conn, final: bytes = b"") -> None:
+        """Close ``conn`` after flushing ``final``: it broke the protocol,
+        or its reply could not be built."""
         server = self._server
         with server._lock:
             server.counters["connections_dropped"] += 1
-        if not isinstance(exc, ConnectionClosed):
-            conn.out += encode_json_frame(
-                {"ok": False, "code": "protocol", "error": str(exc)}
-            )
+        conn.out += final
         conn.closing = True
         self._flush(conn)
 
     def _handle_frame(self, conn: _Conn, frame: tuple) -> None:
-        server = self._server
         recv_ts = time.perf_counter()
-        wrap = False
-        if frame[0] == "json":
-            request = frame[1]
-        else:
-            _kind, opcode, _flags, body = frame
-            if opcode == OP_JSON:
-                try:
-                    request = _parse_json_body(body)
-                except ProtocolError as exc:
-                    self._protocol_error(conn, exc)
-                    return
-                wrap = True
-            else:
-                request = None
-        op = request.get("op") if request is not None else None
-        with server._lock:
-            rejected = server._draining.is_set() and (
-                request is None or op not in server._DRAIN_OPS
-            )
-            if rejected:
-                server.counters["requests_rejected_draining"] += 1
-            else:
-                server._inflight += 1
-        if rejected:
-            # late request during drain: refuse retryably in the
-            # request's own framing, keep the connection alive
-            if request is None:
-                conn.out += encode_bin_error(
-                    _DRAIN_REPLY["code"], _DRAIN_REPLY["error"]
-                )
-            elif wrap:
-                conn.out += encode_bin_frame(
-                    OP_JSON, 0, encode_json_body(_DRAIN_REPLY)
-                )
-            else:
-                conn.out += encode_json_frame(_DRAIN_REPLY)
-            return
-        if request is not None and op in SLOW_OPS:
+        op = frame[1].get("op") if frame[0] == "json" else None
+        if isinstance(op, str) and op in SLOW_OPS:
             conn.busy = True
-            self._slow_q.put((conn, request, wrap, recv_ts))
-            return  # _inflight is released by the sidecar
+            self._slow_q.put((conn, frame, recv_ts))
+            return
         try:
-            reply = self._execute(conn, request, frame, wrap, recv_ts)
+            conn.out += self._server.dispatch(frame, conn.conn_id, recv_ts, conn.ctx)
         except Exception:
-            # mirrors the threaded loop's last-ditch isolation (e.g. a
-            # reply that outgrew max_frame): drop only this connection
-            with server._lock:
-                server.counters["connections_dropped"] += 1
-            conn.closing = True
-            reply = b""
-        finally:
-            with server._lock:
-                server._inflight -= 1
-        conn.out += reply
-
-    def _execute(
-        self, conn: _Conn, request: dict | None, frame: tuple | None,
-        wrap: bool, recv_ts: float,
-    ) -> bytes:
-        """One request -> its reply frame bytes (either framing)."""
-        server = self._server
-        if request is not None:
-            response, extra = server._dispatch(
-                request, conn.conn_id, recv_ts, conn.ctx
-            )
-            if wrap:
-                return encode_bin_frame(
-                    OP_JSON, 0, encode_json_body(response, extra=extra),
-                    max_frame=server.max_frame,
-                )
-            return encode_json_frame(
-                response, max_frame=server.max_frame, extra=extra
-            )
-        assert frame is not None
-        _kind, opcode, flags, body = frame
-        return server._dispatch_binary(
-            opcode, flags, body, conn.conn_id, recv_ts, conn.ctx
-        )
+            # last-ditch isolation (e.g. a reply that outgrew
+            # max_frame): drop only this connection
+            self._drop(conn)
 
     # -- sidecar for slow ops -------------------------------------------
 
     def _slow_run(self) -> None:
-        server = self._server
+        dispatch = self._server.dispatch
         while True:
             item = self._slow_q.get()
             if item is None:
                 return
-            conn, request, wrap, recv_ts = item
+            conn, frame, recv_ts = item
             try:
-                reply = self._execute(conn, request, None, wrap, recv_ts)
-                ok = True
+                reply, ok = dispatch(frame, conn.conn_id, recv_ts, conn.ctx), True
             except Exception:
                 reply, ok = b"", False
-            finally:
-                with server._lock:
-                    server._inflight -= 1
             self._completions.append((conn, reply, ok))
             self._wake()
 
@@ -440,7 +341,4 @@ class ConnectionLoop:
         except OSError:
             pass
         self._conns.pop(conn.conn_id, None)
-        server = self._server
-        server._close_owned_sessions(conn.conn_id)
-        with server._lock:
-            server._conns.pop(conn.conn_id, None)
+        self._server._close_owned_sessions(conn.conn_id)

@@ -68,9 +68,6 @@ framing that coexists with JSON *per frame* on one connection:
 - replies pack matched/prediction into flags + a fixed-layout body
   (IEEE-754 doubles travel exactly); traced replies prepend the same
   ``(queue_us, handler_us)`` pair ``srv`` carries in JSON;
-- ``OP_JSON`` wraps a regular JSON object in a binary frame (used by
-  peers that want one framing for everything — the supervisor's
-  router understands it);
 - everything else — negotiation (``hello``), ``open_session``,
   batches, admin ops — stays length-prefixed JSON, so old clients,
   ``socat`` debugging and the admin/HTTP surfaces work unchanged.
@@ -102,7 +99,6 @@ __all__ = [
     "FrameTooLarge",
     "ConnectionClosed",
     "FrameParser",
-    "OP_JSON",
     "OP_OBSERVE",
     "OP_OBSERVE_PREDICT",
     "OP_PREDICT",
@@ -148,9 +144,10 @@ BIN_MAGIC = 0xA7
 
 #: (magic, opcode, flags, body length)
 _BIN_HEADER = struct.Struct(">BBHI")
+#: the header followed by a traced reply's :data:`SRV_PAIR`
+_BIN_HEADER_SRV = struct.Struct(">BBHIII")
 
 # request opcodes
-OP_JSON = 0x00  # body is a UTF-8 JSON object (request or reply)
 OP_OBSERVE = 0x01
 OP_OBSERVE_PREDICT = 0x02
 OP_PREDICT = 0x03
@@ -233,27 +230,18 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def read_frame(sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME) -> dict | None:
-    """Read one frame; ``None`` on clean EOF before a header.
+    """Read one JSON frame; ``None`` on clean EOF before a header.
 
     Raises :class:`FrameTooLarge` for oversized announcements and
-    :class:`ProtocolError` for bodies that are not a JSON object.
+    :class:`ProtocolError` for bodies that are not a JSON object — or
+    for a binary frame, which a JSON-only peer cannot take.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
+    frame = read_frame_any(sock, max_frame=max_frame)
+    if frame is None:
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame:
-        raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
-    body = _recv_exact(sock, length) if length else b""
-    if body is None:
-        raise ConnectionClosed("connection closed mid-frame", partial=True)
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"frame body must be a JSON object, got {type(obj).__name__}")
-    return obj
+    if frame[0] != "json":
+        raise ProtocolError("expected a JSON frame, got a binary one")
+    return frame[1]
 
 
 def _parse_json_body(body: bytes) -> dict:
@@ -384,11 +372,15 @@ def encode_json_frame(
     max_frame: int = DEFAULT_MAX_FRAME,
     extra: str | None = None,
 ) -> bytes:
-    """A length-prefixed JSON frame as bytes (socketless write_frame).
+    """A length-prefixed JSON frame as bytes.
 
-    Same ``extra`` splice as :func:`write_frame`; used where frames are
-    buffered instead of written — the event-loop daemon's reply queue
-    and the client's pipelined sends.
+    ``extra`` is a pre-serialized JSON fragment (``',"key":<value>'``)
+    spliced in before the object's closing brace.  Hot paths use it to
+    attach a per-request field (tracing ctx, reply timing) without
+    paying the encoder for the nested dict — the bytes on the wire are
+    identical to encoding the field normally.  The caller guarantees
+    the fragment is valid JSON and ``obj`` is a non-empty dict (every
+    protocol frame carries at least ``op`` or ``ok``).
     """
     encoded = encode_json_body(obj, extra=extra)
     if len(encoded) > max_frame:
@@ -398,18 +390,33 @@ def encode_json_frame(
 
 def encode_bin_frame(
     opcode: int, flags: int = 0, body: bytes = b"",
-    *, max_frame: int = DEFAULT_MAX_FRAME,
+    *, max_frame: int = DEFAULT_MAX_FRAME, srv: tuple[int, int] | None = None,
 ) -> bytes:
-    """One binary frame as bytes (header + body)."""
-    if len(body) > max_frame:
-        raise FrameTooLarge(f"frame of {len(body)} bytes exceeds limit {max_frame}")
-    return _BIN_HEADER.pack(BIN_MAGIC, opcode, flags, len(body)) + body
+    """One binary frame as bytes (header + body).
+
+    ``srv`` — a traced reply's ``(queue_us, handler_us)`` — is prefixed
+    to the body as :data:`SRV_PAIR` and flagged :data:`F_HAS_SRV`, so
+    the decoder knows where the body proper starts.
+    """
+    n = len(body)
+    if n > max_frame:
+        raise FrameTooLarge(f"frame of {n} bytes exceeds limit {max_frame}")
+    if srv is None:
+        return _BIN_HEADER.pack(BIN_MAGIC, opcode, flags, n) + body
+    queue_us, handler_us = srv
+    return _BIN_HEADER_SRV.pack(
+        BIN_MAGIC, opcode, flags | F_HAS_SRV, n + SRV_PAIR.size,
+        queue_us if queue_us < 0xFFFFFFFF else 0xFFFFFFFF,
+        handler_us if handler_us < 0xFFFFFFFF else 0xFFFFFFFF,
+    ) + body
 
 
-def encode_bin_error(code: str, message: str) -> bytes:
+def encode_bin_error(
+    code: str, message: str, *, srv: tuple[int, int] | None = None
+) -> bytes:
     """An :data:`OP_REPLY_ERROR` frame (body mirrors the JSON error shape)."""
-    body = json.dumps({"code": code, "error": message}).encode("utf-8")
-    return encode_bin_frame(OP_REPLY_ERROR, 0, body)
+    body = encode_json_body({"code": code, "error": message})
+    return encode_bin_frame(OP_REPLY_ERROR, 0, body, srv=srv)
 
 
 def decode_bin_error(body: bytes, offset: int = 0) -> tuple[str, str]:
@@ -419,42 +426,10 @@ def decode_bin_error(body: bytes, offset: int = 0) -> tuple[str, str]:
 
 
 def write_frame(
-    sock: socket.socket,
-    obj: dict,
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    extra: str | None = None,
-    scratch: bytearray | None = None,
+    sock: socket.socket, obj: dict, *, max_frame: int = DEFAULT_MAX_FRAME
 ) -> None:
-    """Serialize ``obj`` and send it as one frame.
-
-    ``extra`` is a pre-serialized JSON fragment (``',"key":<value>'``)
-    spliced in before the object's closing brace.  Hot paths use it to
-    attach a per-request field (tracing ctx, reply timing) without
-    paying the encoder for the nested dict — the bytes on the wire are
-    identical to encoding the field normally.  The caller guarantees
-    the fragment is valid JSON and ``obj`` is a non-empty dict (every
-    protocol frame carries at least ``op`` or ``ok``).
-
-    ``scratch`` is an optional reusable send buffer: header and body
-    are assembled in place and sent as one ``sendall``, skipping the
-    per-frame ``header + body`` concatenation (a fresh allocation on
-    every request).  Frames larger than the buffer fall back to the
-    allocating path; the bytes on the wire are identical either way.
-    """
-    body = json.dumps(obj, separators=(",", ":"))
-    if extra:
-        body = body[:-1] + extra + "}"
-    encoded = body.encode("utf-8")
-    n = len(encoded)
-    if n > max_frame:
-        raise FrameTooLarge(f"frame of {n} bytes exceeds limit {max_frame}")
-    if scratch is not None and _HEADER.size + n <= len(scratch):
-        _HEADER.pack_into(scratch, 0, n)
-        scratch[_HEADER.size : _HEADER.size + n] = encoded
-        sock.sendall(memoryview(scratch)[: _HEADER.size + n])
-    else:
-        sock.sendall(_HEADER.pack(n) + encoded)
+    """Serialize ``obj`` and send it as one length-prefixed JSON frame."""
+    sock.sendall(encode_json_frame(obj, max_frame=max_frame))
 
 
 # ----------------------------------------------------------------------

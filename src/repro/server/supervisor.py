@@ -9,15 +9,15 @@ connection to one of them, so throughput scales with cores while each
 session's state (tracker, rid continuity, latency digests) stays on
 exactly one worker.
 
-Routing (``routing="hash"``, the default, and the fallback everywhere
-``SO_REUSEPORT`` cannot balance — Unix sockets, or platforms without
-it):
+Routing:
 
 - the supervisor owns the one listening socket (Unix or TCP), so its
   address outlives any worker crash;
 - per accepted connection, a router thread ``MSG_PEEK``\\ s the first
   frame *without consuming it*, reads the client's session id from the
-  ``ctx`` stamp, and picks a worker by consistent hash;
+  ``ctx`` stamp, and picks a worker by consistent hash (a connection
+  with no session id on its first frame — a bare binary frame carries
+  none — round-robins);
 - the connection's fd is passed to that worker over ``SCM_RIGHTS``
   (:func:`socket.send_fds`); the worker adopts it and reads the byte
   stream from its pristine start.
@@ -31,12 +31,6 @@ replacement worker is spawned under the same worker id, they move back
 once it is up (sticky *re*\\ binding).  Clients ride through via their
 PR-5 reconnect/resync layer; the supervisor's listener never goes away,
 so a reconnect succeeds immediately.
-
-``routing="kernel"`` (TCP only) additionally gives every worker its own
-``SO_REUSEPORT`` listener on the shared port and lets the kernel
-balance accepts — zero fd-passing hops, but no session stickiness and
-admin ops land on whichever worker the kernel picks; use it when raw
-accept rate matters more than per-worker telemetry.
 
 A connection whose first frame is an *admin* op (``metrics`` /
 ``sessions`` / ``stats`` / ``ping`` / ``workers``) with no session
@@ -81,9 +75,7 @@ from repro.server.daemon import OracleServer
 from repro.server.protocol import (
     BIN_MAGIC,
     DEFAULT_MAX_FRAME,
-    OP_JSON,
     ProtocolError,
-    _BIN_HEADER,
     read_frame,
     write_frame,
 )
@@ -181,13 +173,9 @@ class OracleSupervisor:
     socket_path / tcp_address:
         The public address, exactly as :class:`OracleServer` takes
         them.  The supervisor owns it; workers receive connections by
-        fd passing (or bind ``SO_REUSEPORT`` siblings under
-        ``routing="kernel"``, TCP only).
+        fd passing.
     workers:
         Worker process count (default: ``os.cpu_count()``).
-    routing:
-        ``"hash"`` (sticky consistent-hash fd passing, the default) or
-        ``"kernel"`` (``SO_REUSEPORT``; TCP only).
     use_mmap:
         Give workers mmap-artifact trace stores (one grammar compile
         and one page-cache copy per host).  Default True.
@@ -204,7 +192,6 @@ class OracleSupervisor:
         *,
         tcp_address: tuple[str, int] | None = None,
         workers: int | None = None,
-        routing: str = "hash",
         use_mmap: bool = True,
         cache_size: int = 8,
         drain_deadline: float = 5.0,
@@ -213,20 +200,12 @@ class OracleSupervisor:
     ) -> None:
         if (socket_path is None) == (tcp_address is None):
             raise ValueError("exactly one of socket_path / tcp_address required")
-        if routing not in ("hash", "kernel"):
-            raise ValueError(f"unknown routing mode {routing!r}")
-        if routing == "kernel" and tcp_address is None:
-            raise ValueError("routing='kernel' needs tcp_address (SO_REUSEPORT "
-                             "balances TCP listeners, not unix sockets)")
-        if routing == "kernel" and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError("routing='kernel' needs SO_REUSEPORT support")
         n = workers if workers is not None else (os.cpu_count() or 1)
         if n < 1:
             raise ValueError("workers must be >= 1")
         self.socket_path = os.fspath(socket_path) if socket_path is not None else None
         self.tcp_address = tcp_address
         self.worker_count = n
-        self.routing = routing
         self.use_mmap = use_mmap
         self.cache_size = cache_size
         self.drain_deadline = drain_deadline
@@ -275,8 +254,6 @@ class OracleSupervisor:
         else:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.routing == "kernel":
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             listener.bind(self.tcp_address)
         listener.listen(256)
         self._listener = listener
@@ -305,7 +282,7 @@ class OracleSupervisor:
         )
         self._monitor_thread.start()
         _log.info("supervisor_started", address=str(self.address),
-                  workers=self.worker_count, routing=self.routing)
+                  workers=self.worker_count)
         return self
 
     def drain(self, deadline: float | None = None) -> None:
@@ -442,9 +419,6 @@ class OracleSupervisor:
         ]
         if not self.use_mmap:
             cmd.append("--no-mmap")
-        if self.routing == "kernel":
-            host, port = self.address
-            cmd += ["--tcp-listen", f"{host}:{port}"]
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -568,37 +542,26 @@ class OracleSupervisor:
         round-robins the connection; the worker will produce the real
         protocol error, exactly as a single-process daemon would.
 
-        Understands both framings: length-prefixed JSON and the v2
-        binary framing (first byte ``0xA7``).  A binary ``OP_JSON``
-        wrapper is unwrapped and its JSON parsed for ctx; any other
-        binary opcode is a bare steady-state frame with no session id
-        on the wire, so the connection routes blind.
+        Only length-prefixed JSON carries a session id: a binary first
+        frame (first byte ``0xA7``) is a bare steady-state request, so
+        the connection routes blind.
         """
         conn.settimeout(None)
         buf = conn.recv(_HEADER.size, socket.MSG_PEEK)
-        if not buf:
+        if not buf or buf[0] == BIN_MAGIC:
             return None
-        binary = buf[0] == BIN_MAGIC
-        header_size = _BIN_HEADER.size if binary else _HEADER.size
         deadline = time.monotonic() + self.peek_deadline
-        want = header_size
+        want = _HEADER.size
         while True:
             if len(buf) >= want:
-                if want == header_size:
-                    if binary:
-                        _magic, opcode, _flags, length = _BIN_HEADER.unpack(
-                            buf[:header_size])
-                        if opcode != OP_JSON:
-                            return None  # bare binary op: route blind
-                    else:
-                        (length,) = _HEADER.unpack(buf[:header_size])
+                if want == _HEADER.size:
+                    (length,) = _HEADER.unpack(buf[:_HEADER.size])
                     if length > _PEEK_CAP:
                         return None  # giant first frame: route blind
-                    want = header_size + length
+                    want += length
                     continue
-                body = buf[header_size:want]
                 try:
-                    obj = json.loads(body.decode("utf-8"))
+                    obj = json.loads(buf[_HEADER.size:want].decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     return None
                 return obj if isinstance(obj, dict) else None
@@ -749,8 +712,7 @@ class OracleSupervisor:
                 "uptime_s": round(time.monotonic() - w.started_at, 3)
                 if w.started_at else None,
             }
-        out = {"workers": table, "routing": self.routing,
-               "worker_count": self.worker_count}
+        out = {"workers": table, "worker_count": self.worker_count}
         sid = request.get("sid")
         if isinstance(sid, str) and sid:
             out["home"] = self.ring.route(sid, self._alive_ids())
@@ -843,7 +805,6 @@ class OracleSupervisor:
             store["artifacts"] = sorted(artifacts)
         return {
             "role": "supervisor",
-            "routing": self.routing,
             "counters": counters,
             "sessions_active": sessions_active,
             "store": store,

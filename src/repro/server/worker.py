@@ -10,15 +10,11 @@ pairs instead of a listener:
 - the **connection channel**: client connections the supervisor
   accepted and routed here arrive as file descriptors over
   ``SCM_RIGHTS`` (:func:`socket.recv_fds`); each is adopted into the
-  server's normal per-connection serving loop;
+  server's event loop;
 - the **RPC channel**: supervisor-originated control requests
   (``metrics`` / ``sessions`` / ``stats`` / ``ping`` / ``drain``) in
   the regular frame protocol, answered inline — this is how the
   supervisor aggregates per-worker telemetry into one exposition.
-
-In the supervisor's ``routing="kernel"`` mode the worker additionally
-binds its own ``SO_REUSEPORT`` TCP listener on the shared port, letting
-the kernel balance accepts across the worker group.
 
 Grammar sharing: the worker's :class:`~repro.server.store.TraceStore`
 runs with ``use_mmap=True``, so all workers of a host map one compiled
@@ -110,21 +106,10 @@ def main(argv=None) -> int:
     parser.add_argument("--drain-deadline", type=float, default=5.0)
     parser.add_argument("--no-mmap", action="store_true",
                         help="parse JSON traces instead of mapping artifacts")
-    parser.add_argument("--tcp-listen", default=None, metavar="HOST:PORT",
-                        help="bind an SO_REUSEPORT listener (kernel routing mode)")
     args = parser.parse_args(argv)
 
     store = TraceStore(capacity=args.cache_size, use_mmap=not args.no_mmap)
-    tcp_address = None
-    if args.tcp_listen:
-        host, _, port = args.tcp_listen.rpartition(":")
-        tcp_address = (host, int(port))
-    server = OracleServer(
-        store=store,
-        worker_id=args.worker_id,
-        tcp_address=tcp_address,
-        reuse_port=tcp_address is not None,
-    )
+    server = OracleServer(store=store, worker_id=args.worker_id)
     server.start()
     # long-lived daemon process: continuous profiling on by default
     # (19 Hz; PYTHIA_PROFILE_HZ=0 opts out, any other value overrides)

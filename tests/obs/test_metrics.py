@@ -156,6 +156,7 @@ class TestRegistry:
         c = reg.counter("x_total")
         c.inc(100)
         reg.histogram("h").observe(1.0)
+        reg.histogram("h").observe_batch([1.0, 2.0])
         assert c.value == 0
         assert reg.snapshot() == {}
         assert m.render_prometheus(reg) == ""

@@ -66,6 +66,40 @@ def trace_path(tmp_path):
     return path
 
 
+def spawn_serve(sock_path: str, *args: str) -> subprocess.Popen:
+    """Run ``pythia-trace serve`` on ``sock_path``; return once it accepts.
+
+    The socket file alone proves nothing: kill -9 leaves the old
+    daemon's file behind, so a fresh daemon is only up once a connect
+    succeeds.
+    """
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from repro.cli import main; "
+         f"sys.exit(main({['serve', '--socket', sock_path, *args]!r}))"],
+        env={**os.environ, "PYTHONPATH": src_dir},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+    )
+    deadline = time.monotonic() + 15
+    try:
+        while True:
+            assert proc.poll() is None, proc.stdout.read().decode()
+            probe = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+            try:
+                probe.connect(sock_path)
+                return proc
+            except OSError:
+                assert time.monotonic() < deadline, "daemon did not come up"
+                time.sleep(0.02)
+            finally:
+                probe.close()
+    except AssertionError:
+        proc.kill()  # the caller never gets it to clean up
+        proc.wait(timeout=10)
+        raise
+
+
 def pred_key(pred):
     """Byte-comparable view of a Prediction (None-safe)."""
     if pred is None:
@@ -215,25 +249,9 @@ class TestDaemonCrashRestart:
         """The real thing: kill -9 a `pythia-trace serve` process."""
         sock_path = str(tmp_path / "oracle.sock")
         events = record_loop_trace(str(tmp_path / "again.pythia"))
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = {**os.environ, "PYTHONPATH": src_dir}
-
-        def spawn():
-            proc = subprocess.Popen(
-                [sys.executable, "-c",
-                 "import sys; from repro.cli import main; "
-                 f"sys.exit(main(['serve', '--socket', {sock_path!r}]))"],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            )
-            deadline = time.monotonic() + 15
-            while not os.path.exists(sock_path):
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.monotonic() < deadline, "daemon did not come up"
-                time.sleep(0.02)
-            return proc
 
         local = Pythia(trace_path, mode="predict")
-        proc = spawn()
+        proc = spawn_serve(sock_path)
         try:
             client = PythiaClient(
                 trace_path, socket=sock_path, timeout=2.0, retry=FAST_RETRY
@@ -244,7 +262,7 @@ class TestDaemonCrashRestart:
                 client.event(name, payload)
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
-            proc = spawn()
+            proc = spawn_serve(sock_path)
             for i, (name, payload) in enumerate(events[cut:]):
                 lm, lp = local.event_and_predict(name, payload, distance=4)
                 cm, cp = client.event_and_predict(name, payload, distance=4)
@@ -399,21 +417,8 @@ class TestGracefulDrain:
 
     def test_sigterm_subprocess_drains_cleanly(self, tmp_path, trace_path):
         sock_path = str(tmp_path / "oracle.sock")
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = {**os.environ, "PYTHONPATH": src_dir}
-        proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from repro.cli import main; "
-             f"sys.exit(main(['serve', '--socket', {sock_path!r}, "
-             "'--drain-deadline', '2']))"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        )
+        proc = spawn_serve(sock_path, "--drain-deadline", "2")
         try:
-            deadline = time.monotonic() + 15
-            while not os.path.exists(sock_path):
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
             conn = raw_connect(sock_path)
             write_frame(conn, {"op": "open_session", "trace": trace_path})
             assert read_frame(conn)["ok"]
@@ -645,24 +650,8 @@ class TestTracingUnderFaults:
         table re-learns the same sid, with rids continuing upward."""
         sock_path = str(tmp_path / "oracle.sock")
         events = record_loop_trace(str(tmp_path / "again.pythia"))
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = {**os.environ, "PYTHONPATH": src_dir}
 
-        def spawn():
-            proc = subprocess.Popen(
-                [sys.executable, "-c",
-                 "import sys; from repro.cli import main; "
-                 f"sys.exit(main(['serve', '--socket', {sock_path!r}]))"],
-                env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            )
-            deadline = time.monotonic() + 15
-            while not os.path.exists(sock_path):
-                assert proc.poll() is None, proc.stdout.read().decode()
-                assert time.monotonic() < deadline, "daemon did not come up"
-                time.sleep(0.02)
-            return proc
-
-        proc = spawn()
+        proc = spawn_serve(sock_path)
         try:
             client = PythiaClient(
                 trace_path, socket=sock_path, timeout=2.0, retry=FAST_RETRY
@@ -674,7 +663,7 @@ class TestTracingUnderFaults:
             rid_before_crash = client.trace_context()["rid"]
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=10)
-            proc = spawn()
+            proc = spawn_serve(sock_path)
             for name, payload in events[cut:]:
                 client.event_and_predict(name, payload, distance=4)
             assert client.session_id == sid
@@ -806,7 +795,6 @@ class TestWorkerCrashUnderSupervisor:
             sup.stop()
 
 
-@pytest.mark.parametrize("io_mode", ["eventloop", "threads"])
 class TestPipelinedDrain:
     """Satellite: pipelined requests racing SIGTERM drain.
 
@@ -818,17 +806,13 @@ class TestPipelinedDrain:
     refused ops never entered the ring, so nothing is double-observed.
     """
 
-    def test_late_pipelined_ops_rejected_in_order_then_resync(
-        self, tmp_path, trace_path, io_mode
-    ):
+    def test_late_pipelined_ops_rejected_in_order_then_resync(self, tmp_path, trace_path):
         from repro.server.client import OracleServiceError
 
         events = record_loop_trace(str(tmp_path / "again.pythia"))
         sock_path = str(tmp_path / "oracle.sock")
         local = Pythia(trace_path, mode="predict")
-        srv = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv = OracleServer(sock_path, store=TraceStore()).start()
         client = PythiaClient(trace_path, socket=sock_path, retry=FAST_RETRY)
         try:
             # phase 1: a pipelined window completes before any drain
@@ -862,9 +846,7 @@ class TestPipelinedDrain:
         # phase 3: a replacement daemon on the same path; the client
         # reconnects, replays its ring (exactly the 30 confirmed events)
         # and the retried tail stays byte-identical with the local oracle
-        srv2 = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv2 = OracleServer(sock_path, store=TraceStore()).start()
         try:
             remote_tail = [
                 pred_key(client.event_and_predict(n, p)[1])
@@ -880,9 +862,7 @@ class TestPipelinedDrain:
             client.close()
             srv2.stop()
 
-    def test_burst_racing_drain_has_monotone_cutover(
-        self, tmp_path, trace_path, io_mode
-    ):
+    def test_burst_racing_drain_has_monotone_cutover(self, tmp_path, trace_path):
         """A pipelined burst genuinely racing the drain gate: replies
         stay in order and flip from success to shutting_down exactly
         once — never interleaved, never dropped."""
@@ -890,9 +870,7 @@ class TestPipelinedDrain:
 
         events = record_loop_trace(str(tmp_path / "again.pythia"))
         sock_path = str(tmp_path / "oracle.sock")
-        srv = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv = OracleServer(sock_path, store=TraceStore()).start()
         client = PythiaClient(trace_path, socket=sock_path, retry=FAST_RETRY)
         results = []
 

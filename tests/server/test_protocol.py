@@ -146,7 +146,6 @@ from repro.server.protocol import (  # noqa: E402
     BIN_REQ,
     F_HAS_PRED,
     FrameParser,
-    OP_JSON,
     OP_OBSERVE_PREDICT,
     OP_REPLY_ERROR,
     decode_bin_error,
@@ -192,13 +191,13 @@ class TestBinaryFrames:
 
     def test_oversized_binary_frame_rejected(self, pair):
         a, b = pair
-        a.sendall(struct.pack(">BBHI", BIN_MAGIC, OP_JSON, 0, 1 << 30))
+        a.sendall(struct.pack(">BBHI", BIN_MAGIC, OP_OBSERVE_PREDICT, 0, 1 << 30))
         with pytest.raises(FrameTooLarge):
             read_frame_any(b, max_frame=1024)
 
     def test_oversized_binary_frame_rejected_on_encode(self):
         with pytest.raises(FrameTooLarge):
-            encode_bin_frame(OP_JSON, 0, b"x" * 2048, max_frame=1024)
+            encode_bin_frame(OP_OBSERVE_PREDICT, 0, b"x" * 2048, max_frame=1024)
 
     def test_error_frame_round_trip(self, pair):
         a, b = pair
@@ -320,23 +319,20 @@ class TestPayloadConvention:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("io_mode", ["eventloop", "threads"])
 class TestDaemonFrameTooLarge:
     @pytest.fixture
-    def live(self, tmp_path, io_mode):
+    def live(self, tmp_path):
         from repro.server import OracleServer, TraceStore
 
         sockp = str(tmp_path / "oracle.sock")
-        with OracleServer(
-            sockp, store=TraceStore(capacity=2), io_mode=io_mode
-        ) as srv:
+        with OracleServer(sockp, store=TraceStore(capacity=2)) as srv:
             conn = socket.socket(socket.AF_UNIX)
             conn.connect(sockp)
             conn.settimeout(5.0)
             yield srv, conn
             conn.close()
 
-    def test_oversized_announcement_gets_error_then_close(self, live, io_mode):
+    def test_oversized_announcement_gets_error_then_close(self, live):
         srv, conn = live
         # a healthy request first: the violation is mid-stream
         write_frame(conn, {"op": "ping"})
@@ -348,7 +344,7 @@ class TestDaemonFrameTooLarge:
         assert conn.recv(1) == b""
         assert srv.counters["connections_dropped"] == 1
 
-    def test_oversized_binary_announcement_also_closes(self, live, io_mode):
+    def test_oversized_binary_announcement_also_closes(self, live):
         srv, conn = live
         write_frame(conn, {"op": "ping"})
         assert read_frame(conn)["ok"] is True
@@ -358,7 +354,7 @@ class TestDaemonFrameTooLarge:
         assert reply["ok"] is False and reply["code"] == "protocol"
         assert conn.recv(1) == b""
 
-    def test_garbage_after_violation_is_never_parsed(self, live, io_mode):
+    def test_garbage_after_violation_is_never_parsed(self, live):
         srv, conn = live
         # oversized announcement followed immediately by bytes that
         # *look* like a valid frame: the daemon must not execute it

@@ -3,9 +3,7 @@
 The acceptance bar for the binary framing is *byte-identical*
 predictions: the same event stream, pushed over length-prefixed JSON,
 over binary frames, and over the pipelined binary path, must produce
-exactly the predictions the in-process oracle produces.  Everything
-here runs against both daemon I/O models (the selectors event loop and
-thread-per-connection).
+exactly the predictions the in-process oracle produces.
 """
 
 from __future__ import annotations
@@ -22,11 +20,14 @@ from repro.server.client import OracleServiceError
 from repro.server.daemon import OracleServer as _Server
 from repro.server.protocol import (
     BIN_REQ,
-    OP_JSON,
+    OP_OBSERVE,
     OP_OBSERVE_PREDICT,
+    OP_PREDICT,
+    OP_REPLY_ERROR,
+    decode_bin_error,
     encode_bin_frame,
-    encode_json_body,
     encode_json_frame,
+    read_frame_any,
     read_frame,
     write_frame,
 )
@@ -49,12 +50,10 @@ def event_stream(trace_path: str, thread: int = 0, limit: int = 300):
     ][:limit]
 
 
-@pytest.fixture(params=["eventloop", "threads"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(tmp_path):
     sock = str(tmp_path / "oracle.sock")
-    with OracleServer(
-        sock, store=TraceStore(capacity=4), io_mode=request.param
-    ) as srv:
+    with OracleServer(sock, store=TraceStore(capacity=4)) as srv:
         yield srv
 
 
@@ -182,6 +181,49 @@ class TestFramingEquivalence:
         remote.finish()
 
 
+class TestBinaryRefusals:
+    """A bad binary request gets an ``OP_REPLY_ERROR`` frame with its
+    code, counts as a failed request, and leaves the connection usable."""
+
+    # (opcode, body from the session number, expected code)
+    CASES = {
+        "opcode_zero": (0x00, lambda snum: BIN_REQ.pack(snum, 0, 1), "unknown_op"),
+        "unknown_opcode": (0x7F, lambda snum: BIN_REQ.pack(snum, 0, 1), "unknown_op"),
+        "short_body": (OP_OBSERVE, lambda snum: b"\x00\x01", "bad_request"),
+        "unknown_session": (
+            OP_OBSERVE_PREDICT, lambda snum: BIN_REQ.pack(snum + 1000, 0, 1),
+            "no_such_session",
+        ),
+        "terminal_outside_registry": (
+            OP_OBSERVE, lambda snum: BIN_REQ.pack(snum, 0xFFFFFFFF, 1),
+            "bad_request",
+        ),
+        "predict_distance_zero": (
+            OP_PREDICT, lambda snum: BIN_REQ.pack(snum, 0, 0), "bad_request",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refusal_is_an_error_frame(self, npb_trace, server, case):
+        opcode, body, code = self.CASES[case]
+        conn = socket.socket(socket.AF_UNIX)
+        conn.connect(server.socket_path)
+        conn.settimeout(5.0)
+        try:
+            write_frame(conn, {"op": "open_session", "trace": npb_trace})
+            snum = read_frame(conn)["snum"]
+            failed = server.counters["requests_failed"]
+            conn.sendall(encode_bin_frame(opcode, 0, body(snum)))
+            kind, reply_op, _flags, reply_body = read_frame_any(conn)
+            assert (kind, reply_op) == ("bin", OP_REPLY_ERROR)
+            assert decode_bin_error(reply_body)[0] == code
+            assert server.counters["requests_failed"] == failed + 1
+            write_frame(conn, {"op": "ping"})
+            assert read_frame(conn)["pong"] is True
+        finally:
+            conn.close()
+
+
 class TestPipeline:
     def test_results_in_submit_order(self, npb_trace, server):
         events = event_stream(npb_trace, limit=64)
@@ -263,11 +305,12 @@ class TestSupervisorPeekBothFramings:
         b.settimeout(1.0)
         assert read_frame(b) == request
 
-    def test_binary_json_wrapper_peeked(self, router, pair):
+    def test_binary_opcode_zero_routes_blind(self, router, pair):
+        # opcode 0x00 is no JSON wrapper: its body is never parsed for ctx
         a, b = pair
-        request = {"op": "observe", "session": "s1", "ctx": {"sid": "c1", "rid": 9}}
-        a.sendall(encode_bin_frame(OP_JSON, 0, encode_json_body(request)))
-        assert router._peek_first_frame(b) == request
+        body = b'{"op":"observe","ctx":{"sid":"c1","rid":9}}'
+        a.sendall(encode_bin_frame(0x00, 0, body))
+        assert router._peek_first_frame(b) is None
 
     def test_bare_binary_frame_routes_blind(self, router, pair):
         a, b = pair

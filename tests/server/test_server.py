@@ -248,6 +248,20 @@ class TestHostileClients:
         assert read_frame(sock)["code"] == "unknown_op"
         sock.close()
 
+    def test_unhashable_op_gets_error_response(self, server):
+        """An op no handler table can even hash is refused, not fatal:
+        this connection and every other one keep being served."""
+        sock = self._raw(server)
+        write_frame(sock, {"op": ["open_session"]})
+        assert read_frame(sock)["code"] == "unknown_op"
+        write_frame(sock, {"op": "ping"})
+        assert read_frame(sock)["pong"]
+        other = self._raw(server)
+        write_frame(other, {"op": "ping"})
+        assert read_frame(other)["pong"]
+        sock.close()
+        other.close()
+
     def test_bad_session_gets_error_response(self, server):
         sock = self._raw(server)
         write_frame(sock, {"op": "predict", "session": "s999"})

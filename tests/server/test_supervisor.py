@@ -15,7 +15,6 @@ this module covers the supervisor's steady-state contract:
 
 from __future__ import annotations
 
-import socket as socket_mod
 from types import SimpleNamespace
 
 import pytest
@@ -88,14 +87,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             OracleSupervisor("/tmp/x.sock", tcp_address=("127.0.0.1", 0))
 
-    def test_rejects_bad_worker_count_and_routing(self):
+    def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             OracleSupervisor("/tmp/x.sock", workers=0)
-        with pytest.raises(ValueError):
-            OracleSupervisor("/tmp/x.sock", workers=2, routing="magic")
-        with pytest.raises(ValueError):
-            # kernel routing cannot balance a unix socket
-            OracleSupervisor("/tmp/x.sock", workers=2, routing="kernel")
 
 
 @pytest.fixture(scope="module")
@@ -237,16 +231,12 @@ class TestRoutedServing:
             sock.close()
 
 
-class TestKernelRouting:
-    @pytest.mark.skipif(
-        not hasattr(socket_mod, "SO_REUSEPORT"), reason="no SO_REUSEPORT"
-    )
-    def test_tcp_reuseport_smoke(self, tmp_path):
+class TestTcpServing:
+    def test_tcp_smoke(self, tmp_path):
         trace_path = str(tmp_path / "ref.pythia")
         events = record_loop_trace(trace_path)
         sup = OracleSupervisor(
-            tcp_address=("127.0.0.1", 0), workers=2,
-            routing="kernel", drain_deadline=1.0,
+            tcp_address=("127.0.0.1", 0), workers=2, drain_deadline=1.0,
         )
         sup.start()
         try:
