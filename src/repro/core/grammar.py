@@ -57,13 +57,13 @@ class Grammar:
         #: and is never decremented when a rule is later inlined away)
         self.rules_created = 0
         self.exponent_merges = 0
+        #: live rules indexed by id (includes the root)
+        self.rules: dict[int, Rule] = {}
         self.root = self._new_rule()
         #: ordered couple of symbols -> left node of its unique occurrence
         self._digrams: dict[DigramKey, SymbolUse] = {}
         #: rules whose usage decreased and may need inlining
         self._maybe_useless: list[Rule] = []
-        #: live rules indexed by id (includes the root)
-        self.rules: dict[int, Rule] = {self.root.rid: self.root}
         self._length = 0
 
     # ------------------------------------------------------------------
@@ -81,19 +81,24 @@ class Grammar:
 
     def append(self, terminal: int) -> None:
         """Append one terminal event id to the represented sequence."""
-        if not is_terminal(terminal) or terminal < 0:
+        if not isinstance(terminal, int) or terminal < 0:
             raise TypeError(f"terminal event id must be a non-negative int, got {terminal!r}")
         self._length += 1
         root = self.root
-        last = root.last
-        if last is not None and last.symbol == terminal:
+        guard = root.guard
+        last = guard.prev
+        if last.symbol == terminal:  # never true for the guard (symbol None)
             last.exp += 1
             self.exponent_merges += 1
             return
-        self._link_after(root.guard.prev, terminal, 1, root)
-        if last is not None:
+        # _link_after(last, terminal, 1, root) without the rule bookkeeping
+        node = SymbolUse(terminal, 1, last, guard, root)
+        last.next = node
+        guard.prev = node
+        if last is not guard:
             self._check_digram(last)
-        self._drain_useless()
+        if self._maybe_useless:
+            self._drain_useless()
 
     def extend(self, terminals: Iterable[int]) -> None:
         """Append every terminal of ``terminals`` in order."""
@@ -118,14 +123,14 @@ class Grammar:
             node, reps = stack.pop()
             if reps == 0:
                 nxt = node.next
-                if not nxt.is_guard():
+                if nxt.symbol is not None:
                     stack.append((nxt, nxt.exp))
                 continue
             sym = node.symbol
             if is_terminal(sym):
                 out.extend([sym] * reps)
                 nxt = node.next
-                if not nxt.is_guard():
+                if nxt.symbol is not None:
                     stack.append((nxt, nxt.exp))
             else:
                 stack.append((node, reps - 1))  # continuation after one expansion
@@ -216,51 +221,53 @@ class Grammar:
         rule = Rule(self._next_rid)
         self._next_rid += 1
         self.rules_created += 1
-        if hasattr(self, "rules"):
-            self.rules[rule.rid] = rule
+        self.rules[rule.rid] = rule
         return rule
 
-    def _add_usage(self, sym: Symbol, delta: int) -> None:
-        if isinstance(sym, Rule) and delta:
-            sym.usage += delta
-            if delta < 0:
-                self._maybe_useless.append(sym)
+    # Usage bookkeeping is written out inline below: whenever a rule's
+    # usage drops by a non-zero amount, the rule is pushed on
+    # ``_maybe_useless`` right there, even if its usage stays >= 2.  The
+    # push order decides the order :meth:`_drain_useless` inlines rules in,
+    # and so the rule ids of everything built afterwards.
 
     def _link_after(self, after: SymbolUse, sym: Symbol, exp: int, rule: Rule) -> SymbolUse:
         """Splice a new node carrying ``sym^exp`` right after ``after``."""
-        node = SymbolUse(sym, exp)
-        node.owner = rule
         nxt = after.next
-        node.prev = after
-        node.next = nxt
+        node = SymbolUse(sym, exp, after, nxt, rule)
         after.next = node
         nxt.prev = node
         if isinstance(sym, Rule):
             sym.use_nodes.add(node)
-            self._add_usage(sym, exp)
+            sym.usage += exp
         return node
 
     def _unlink(self, node: SymbolUse) -> None:
         """Remove ``node`` from its body; digram entries must be forgotten first."""
-        node.prev.next = node.next
-        node.next.prev = node.prev
+        prev = node.prev
+        nxt = node.next
+        prev.next = nxt
+        nxt.prev = prev
         sym = node.symbol
         if isinstance(sym, Rule):
             sym.use_nodes.discard(node)
-            self._add_usage(sym, -node.exp)
+            exp = node.exp
+            if exp:
+                sym.usage -= exp
+                self._maybe_useless.append(sym)
         node.owner = None
         node.prev = node.next = None
 
     def _forget(self, left: SymbolUse | None) -> None:
         """Drop the digram-index entry registered for ``(left, left.next)``."""
-        if left is None or left.owner is None or left.is_guard():
+        if left is None or left.owner is None or left.symbol is None:
             return
         right = left.next
-        if right is None or right.is_guard():
+        if right is None or right.symbol is None:
             return
         key = (left.symbol, right.symbol)
-        if self._digrams.get(key) is left:
-            del self._digrams[key]
+        digrams = self._digrams
+        if digrams.get(key) is left:
+            del digrams[key]
 
     # ------------------------------------------------------------------
     # repair loop: digram uniqueness + merging + factoring
@@ -268,59 +275,75 @@ class Grammar:
 
     def _check_digram(self, left: SymbolUse | None) -> None:
         """Restore invariants for the couple starting at ``left``."""
-        if left is None or left.owner is None or left.is_guard():
+        if left is None:
             return
-        right = left.next
-        if right is None or right.is_guard():
-            return
-        if left.symbol == right.symbol:
-            # invariant 3: merge exponents (a^n a^m -> a^{n+m})
+        while True:
+            if left.owner is None:
+                return
+            sym = left.symbol
+            if sym is None:
+                return
+            right = left.next
+            if right is None:
+                return
+            rsym = right.symbol
+            if rsym is None:
+                return
+            if sym != rsym:
+                break
+            # invariant 3: merge exponents (a^n a^m -> a^{n+m}), then
+            # re-check the couple ``left`` now starts
             self.exponent_merges += 1
             self._forget(left)
             self._forget(right)
-            self._add_usage(left.symbol, right.exp)  # exponent moves onto `left`...
+            # the exponent moves from ``right`` onto ``left`` and ``right``
+            # is unlinked: the rule's usage is unchanged, but it is queued
             left.exp += right.exp
-            self._unlink(right)  # ...and _unlink takes it back off `right`: net 0
-            self._check_digram(left)
-            return
-        key = (left.symbol, right.symbol)
-        found = self._digrams.get(key)
+            nxt = right.next
+            left.next = nxt
+            nxt.prev = left
+            if isinstance(sym, Rule):
+                sym.use_nodes.discard(right)
+                self._maybe_useless.append(sym)
+            right.owner = None
+            right.prev = right.next = None
+        key = (sym, rsym)
+        digrams = self._digrams
+        found = digrams.get(key)
         if found is None or found.owner is None:
-            self._digrams[key] = left
+            digrams[key] = left
             return
         if found is left:
             return
-        if found.next is None or found.next.is_guard() or found.next.symbol != right.symbol:
+        fnext = found.next
+        if fnext is None or fnext.symbol is None or fnext.symbol != rsym:
             # stale entry (should not happen); re-point and continue
-            self._digrams[key] = left
+            digrams[key] = left
             return
         self._factor(found, left)
 
-    def _is_exact_couple_body(self, left: SymbolUse, en: int, em: int) -> bool:
-        """True if ``left`` and its successor form an entire non-root rule body
-        with exactly the shared exponents ``(en, em)`` — the reuse case."""
-        rule = left.owner
-        assert rule is not None
-        if rule is self.root:
-            return False
-        return (
-            left.prev.is_guard()
-            and left.next.next.is_guard()
-            and left.exp == en
-            and left.next.exp == em
-        )
-
     def _factor(self, occ1: SymbolUse, occ2: SymbolUse) -> None:
         """Factor two occurrences of the same couple into a rule (§II-A)."""
+        next1 = occ1.next
+        next2 = occ2.next
         x = occ1.symbol
-        y = occ1.next.symbol
-        en = min(occ1.exp, occ2.exp)
-        em = min(occ1.next.exp, occ2.next.exp)
+        y = next1.symbol
+        en = occ1.exp if occ1.exp <= occ2.exp else occ2.exp
+        em = next1.exp if next1.exp <= next2.exp else next2.exp
 
+        # reuse a non-root rule whose entire body is exactly x^en y^em
+        root = self.root
         reuse: Rule | None = None
-        for occ in (occ1, occ2):
-            if self._is_exact_couple_body(occ, en, em):
-                reuse = occ.owner
+        for occ, nxt in ((occ1, next1), (occ2, next2)):
+            rule = occ.owner
+            if (
+                rule is not root
+                and occ.prev.symbol is None
+                and nxt.next.symbol is None
+                and occ.exp == en
+                and nxt.exp == em
+            ):
+                reuse = rule
                 break
 
         if reuse is None:
@@ -328,17 +351,18 @@ class Grammar:
             nx = self._link_after(target.guard, x, en, target)
             self._link_after(nx, y, em, target)
             self._digrams[(x, y)] = nx
-            sites = [occ1, occ2]
+            sites = (occ1, occ2)
         else:
             target = reuse
-            self._digrams[(x, y)] = target.first  # keep index on the body copy
+            self._digrams[(x, y)] = target.guard.next  # keep index on the body copy
             sites = [occ for occ in (occ1, occ2) if occ.owner is not target]
 
         recheck: list[SymbolUse] = []
         for occ in sites:
             recheck.extend(self._substitute(occ, target, en, em))
+        check = self._check_digram
         for node in recheck:
-            self._check_digram(node)
+            check(node)
 
     def _substitute(
         self, left: SymbolUse, target: Rule, en: int, em: int
@@ -352,26 +376,66 @@ class Grammar:
         rule = left.owner
         assert rule is not None and right is not None
         prev = left.prev
-        self._forget(prev)
-        self._forget(left)
-        self._forget(right)
+        after = right.next
+        x = left.symbol
+        y = right.symbol
+        # _forget(prev), _forget(left), _forget(right)
+        digrams = self._digrams
+        if prev.symbol is not None:
+            key = (prev.symbol, x)
+            if digrams.get(key) is prev:
+                del digrams[key]
+        key = (x, y)
+        if digrams.get(key) is left:
+            del digrams[key]
+        if after.symbol is not None:
+            key = (y, after.symbol)
+            if digrams.get(key) is right:
+                del digrams[key]
 
-        use = self._link_after(left, target, 1, rule)
+        # _link_after(left, target, 1, rule)
+        use = SymbolUse(target, 1, left, right, rule)
+        left.next = use
+        right.prev = use
+        target.use_nodes.add(use)
+        target.usage += 1
 
-        self._add_usage(left.symbol, -en)
+        # take x^en off ``left`` and y^em off ``right``; a node left with
+        # exponent 0 is unlinked (which moves no usage).  The boundary
+        # nodes to re-check are prev, use.prev, use and use.next, in that
+        # order, without guards or repeats.
+        recheck = [] if prev.symbol is None else [prev]
+        x_is_rule = isinstance(x, Rule)
+        if x_is_rule:
+            x.usage -= en
+            self._maybe_useless.append(x)
         left.exp -= en
-        if left.exp == 0:
-            self._unlink(left)
-        self._add_usage(right.symbol, -em)
+        if left.exp:
+            recheck.append(left)
+        else:
+            prev.next = use
+            use.prev = prev
+            if x_is_rule:
+                x.use_nodes.discard(left)
+            left.owner = None
+            left.prev = left.next = None
+        recheck.append(use)
+        y_is_rule = isinstance(y, Rule)
+        if y_is_rule:
+            y.usage -= em
+            self._maybe_useless.append(y)
         right.exp -= em
-        if right.exp == 0:
-            self._unlink(right)
-
-        recheck = []
-        for node in (prev, use.prev, use, use.next):
-            if node is not None and node.owner is not None and not node.is_guard():
-                if node not in recheck:
-                    recheck.append(node)
+        if right.exp:
+            recheck.append(right)
+        else:
+            use.next = after
+            after.prev = use
+            if y_is_rule:
+                y.use_nodes.discard(right)
+            right.owner = None
+            right.prev = right.next = None
+            if after.symbol is not None:
+                recheck.append(after)
         return recheck
 
     # ------------------------------------------------------------------
@@ -380,11 +444,12 @@ class Grammar:
 
     def _drain_useless(self) -> None:
         """Inline every rule whose usage dropped below 2 (paper Fig. 3f)."""
-        while self._maybe_useless:
-            rule = self._maybe_useless.pop()
-            if rule.rid not in self.rules or rule is self.root:
-                continue
-            if rule.usage >= 2:
+        pending = self._maybe_useless
+        rules = self.rules
+        root = self.root
+        while pending:
+            rule = pending.pop()
+            if rule.usage >= 2 or rule.rid not in rules or rule is root:
                 continue
             if rule.usage <= 0:
                 raise GrammarError(
@@ -405,11 +470,12 @@ class Grammar:
         nxt = use.next
         self._forget(prev)
         self._forget(use)
-        first = rule.first
-        last = rule.last
+        guard = rule.guard
+        first = guard.next
+        last = guard.prev
         del self.rules[rule.rid]
         self._unlink(use)
-        if first is None:
+        if first is guard:
             # empty body (cannot normally happen): nothing to splice
             self._check_digram(prev)
             return

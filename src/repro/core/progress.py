@@ -208,9 +208,11 @@ def _advance(
 def advance_exact(fg: FrozenGrammar, chain: Chain) -> Chain:
     """Deterministic advance for a complete chain with known iterations.
 
-    Used by the timing replay (§II-C): starting from
-    :func:`initial_chain`, repeated calls walk the whole reference trace.
-    Raises if the chain is ambiguous (mid-stream chains are).
+    Starting from :func:`initial_chain`, repeated calls walk the whole
+    reference trace; keyed with :func:`suffix_key`, that walk defines what
+    the one-pass :meth:`~repro.core.timing.TimingTable.from_replay` must
+    reproduce (§II-C).  Raises if the chain is ambiguous (mid-stream
+    chains are).
     """
     succ = successors(fg, chain)
     if len(succ) != 1:

@@ -55,6 +55,9 @@ class PythiaRecord:
         self.record_timestamps = record_timestamps
         self.grammar = Grammar()
         self._timestamps: list[float] = []
+        #: one Event per distinct (name, payload) seen by record_event: the
+        #: registry then matches it by identity, and no Event is built per call
+        self._events: dict[tuple[str, Hashable], Event] = {}
         self._finished = False
         reg = obs_metrics.get_registry()
         self._m_events = reg.counter(
@@ -100,7 +103,10 @@ class PythiaRecord:
         self, name: str, payload: Hashable = None, timestamp: float | None = None
     ) -> int:
         """Intern ``(name, payload)`` and record it; returns the terminal id."""
-        terminal = self.registry.intern(Event(name, payload))
+        event = self._events.get((name, payload))
+        if event is None:
+            event = self._events[(name, payload)] = Event(name, payload)
+        terminal = self.registry.intern(event)
         self.record(terminal, timestamp)
         return terminal
 

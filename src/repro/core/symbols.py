@@ -35,12 +35,19 @@ class SymbolUse:
 
     __slots__ = ("symbol", "exp", "prev", "next", "owner")
 
-    def __init__(self, symbol: Symbol | None, exp: int = 1) -> None:
+    def __init__(
+        self,
+        symbol: Symbol | None,
+        exp: int = 1,
+        prev: SymbolUse | None = None,
+        next: SymbolUse | None = None,
+        owner: Rule | None = None,
+    ) -> None:
         self.symbol = symbol
         self.exp = exp
-        self.prev: SymbolUse | None = None
-        self.next: SymbolUse | None = None
-        self.owner: Rule | None = None
+        self.prev = prev
+        self.next = next
+        self.owner = owner
 
     def is_guard(self) -> bool:
         """True for the sentinel node that closes a rule body's circle."""

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.frozen import FrozenGrammar
-from repro.core.progress import Chain, advance_exact, initial_chain, suffix_key
+from repro.core.frozen import ROOT, FrozenGrammar, decode_rule
+from repro.core.progress import Chain, suffix_key
 
 SuffixKey = tuple[tuple[int, int], ...]
 
@@ -27,21 +27,16 @@ SuffixKey = tuple[tuple[int, int], ...]
 class TimingTable:
     """Mean inter-event durations keyed by progress-sequence suffixes."""
 
-    __slots__ = ("_sums", "_counts")
+    __slots__ = ("_sums", "_counts", "_flat")
 
     def __init__(self) -> None:
         self._sums: dict[SuffixKey, float] = {}
         self._counts: dict[SuffixKey, int] = {}
+        #: flattened keys in ``_sums`` order, when the replay built them
+        self._flat: list[list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self._sums)
-
-    def add(self, chain: Chain, dt: float) -> None:
-        """Accumulate one observed delay for every suffix of ``chain``."""
-        for depth in range(1, len(chain) + 1):
-            key = suffix_key(chain, depth)
-            self._sums[key] = self._sums.get(key, 0.0) + dt
-            self._counts[key] = self._counts.get(key, 0) + 1
 
     def mean(self, key: SuffixKey) -> float | None:
         """Mean delay recorded for an exact suffix key, or ``None``."""
@@ -80,6 +75,16 @@ class TimingTable:
         ``timestamps[i]`` is the time of the ``i``-th event of the trace
         the grammar represents; the grammar itself supplies the event
         sequence, so only timestamps must be kept by the recorder.
+
+        Event ``i > 0`` adds ``timestamps[i] - timestamps[i - 1]`` to every
+        suffix of its complete progress sequence, exactly as walking the
+        trace with :func:`~repro.core.progress.advance_exact` and keying
+        with :func:`~repro.core.progress.suffix_key` would: same keys, same
+        key order (first use), same float additions in event order.  The
+        walk itself is one pass over the grammar with an explicit stack, as
+        :meth:`FrozenGrammar.unfold` does.  Each distinct path from the
+        root to a terminal position is interned once, with the slots of its
+        suffix keys, so an event costs one add per suffix.
         """
         table = cls()
         n = fg.trace_len
@@ -87,17 +92,113 @@ class TimingTable:
             raise ValueError(
                 f"{len(timestamps)} timestamps for a trace of {n} events"
             )
-        if n == 0:
+        if n < 2:
             return table
-        chain = initial_chain(fg)
-        prev_ts = timestamps[0]
-        for i in range(1, n):
-            chain = advance_exact(fg, chain)
-            if chain == ():
-                raise RuntimeError("replay ended before the trace did")
-            dt = timestamps[i] - prev_ts
-            table.add(chain, dt)
-            prev_ts = timestamps[i]
+        bodies = fg.bodies
+        keys: list[SuffixKey] = []
+        flats: list[list[int]] = []
+        sums: list[float] = []
+        slot_of: dict[SuffixKey, int] = {}
+        path_slots: list[list[int]] = []
+        path_events: list[int] = []
+
+        def suffix_slots(steps: SuffixKey, flat: list[int]) -> list[int]:
+            """Slots of every suffix key of one complete path (``flat``:
+            flattened ``steps``), allocating new keys in depth order.
+
+            Only the shorter suffixes can be known already: the complete
+            path is interned once, and it is the only key that ends in the
+            root's body.
+            """
+            slots = []
+            for depth in range(1, len(steps)):
+                key = steps[:depth]
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(keys)
+                    keys.append(key)
+                    flats.append(flat[: 2 * depth])
+                    sums.append(0.0)
+                slots.append(slot)
+            slots.append(len(keys))
+            keys.append(steps)
+            flats.append(flat)
+            sums.append(0.0)
+            return slots
+
+        # A frame ``[rid, body, memo, above, flat, idx, reps]`` expands
+        # position ``idx`` of one rule body ``reps`` more times.  ``above``
+        # holds the bottom-first steps of the uses above that body (``flat``
+        # the same, flattened), and ``memo[idx]`` caches what position
+        # ``idx`` interned in this expansion context: the frame of the child
+        # body (rule positions) or the path id (terminal positions).  Every
+        # context owns one frame, re-armed each time it is entered, so the
+        # walk allocates only for contexts and paths it has not met yet.
+        root = bodies[ROOT]
+        stack = [[ROOT, root, [None] * len(root), (), [], 0, root[0][1]]]
+        i = 0  # index of the next event
+        while stack:
+            frame = stack[-1]
+            rid, body, memo, above, flat, idx, reps = frame
+            if reps:
+                sym = body[idx][0]
+                if sym < 0:
+                    frame[6] = reps - 1
+                    child = memo[idx]
+                    if child is None:
+                        crid = decode_rule(sym)
+                        cbody = bodies[crid]
+                        if not cbody:
+                            raise ValueError(f"rule {crid} has an empty body")
+                        child = memo[idx] = [
+                            crid,
+                            cbody,
+                            [None] * len(cbody),
+                            ((rid, idx),) + above,
+                            [rid, idx, *flat],
+                            0,
+                            0,
+                        ]
+                    child[5] = 0
+                    child[6] = child[1][0][1]
+                    stack.append(child)
+                    continue
+                first = i or 1  # event 0 has no delay before it
+                i += reps
+                if first < i:
+                    pid = memo[idx]
+                    if pid is None:
+                        pid = memo[idx] = len(path_slots)
+                        path_slots.append(
+                            suffix_slots(((rid, idx),) + above, [rid, idx, *flat])
+                        )
+                        path_events.append(0)
+                    slots = path_slots[pid]
+                    path_events[pid] += i - first
+                    if first + 1 == i:  # the common single event
+                        dt = timestamps[first] - timestamps[first - 1]
+                        for slot in slots:
+                            sums[slot] += dt
+                    else:
+                        for j in range(first, i):
+                            dt = timestamps[j] - timestamps[j - 1]
+                            for slot in slots:
+                                sums[slot] += dt
+            idx += 1
+            if idx < len(body):
+                frame[5] = idx
+                frame[6] = body[idx][1]
+            else:
+                stack.pop()
+        if i != n:
+            raise RuntimeError(f"replay walked {i} events of a {n}-event trace")
+        counts = [0] * len(keys)
+        for slots, events in zip(path_slots, path_events):
+            for slot in slots:
+                counts[slot] += events
+        table._sums = dict(zip(keys, sums))
+        table._counts = dict(zip(keys, counts))
+        table._flat = flats
         return table
 
     # ------------------------------------------------------------------
@@ -105,12 +206,15 @@ class TimingTable:
     # ------------------------------------------------------------------
 
     def to_obj(self) -> list[list]:
-        """JSON-compatible representation."""
-        out = []
-        for key, total in self._sums.items():
-            flat = [v for pair in key for v in pair]
-            out.append([flat, total, self._counts[key]])
-        return out
+        """JSON-compatible representation (shares the replay's key lists)."""
+        flats = self._flat
+        if flats is None:
+            flats = [[v for pair in key for v in pair] for key in self._sums]
+        # both dicts are always filled together, so their orders agree
+        return [
+            [flat, total, count]
+            for flat, total, count in zip(flats, self._sums.values(), self._counts.values())
+        ]
 
     @classmethod
     def from_obj(cls, obj: list) -> "TimingTable":

@@ -1021,9 +1021,12 @@ class OracleServer:
             # the stats view stays keyed by op (its pre-v2 shape):
             # per-proto histograms of one op merge into a detached
             # aggregate — metrics keep the proto split, stats callers
-            # keep their keys
+            # keep their keys.  A disabled registry (PYTHIA_METRICS=0)
+            # hands out null instruments, which hold no samples to merge
             merged: dict[str, Histogram] = {}
             for (op_key, _proto), h in self._latency.items():
+                if not isinstance(h, Histogram):
+                    continue
                 agg = merged.get(op_key)
                 if agg is None:
                     merged[op_key] = agg = Histogram(

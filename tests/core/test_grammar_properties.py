@@ -17,6 +17,25 @@ from tests.conftest import random_structured_stream
 
 events = st.integers(min_value=0, max_value=6)
 sequences = st.lists(events, min_size=0, max_size=200)
+#: ``(body * reps) * outer``: the loop-structured HPC case
+looped_streams = st.builds(
+    lambda body, reps, outer: (body * reps) * outer,
+    st.lists(events, min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=4),
+)
+#: loops of loops (nested rules), runs of one event (exponents), capped
+nested_streams = st.recursive(
+    st.lists(events, min_size=1, max_size=4),
+    lambda inner: st.builds(
+        lambda parts, reps: [e for part in parts for e in part] * reps,
+        st.lists(inner, min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=5),
+    ),
+    max_leaves=8,
+).map(lambda seq: seq[:400])
+#: prologue, looped body and epilogue, repeated (conftest's generator)
+structured_streams = st.integers(min_value=0, max_value=10_000).map(random_structured_stream)
 
 
 @given(sequences)
@@ -36,15 +55,20 @@ def test_invariants_after_every_append(seq):
         g.check_invariants()
 
 
-@given(
-    st.lists(events, min_size=1, max_size=8),
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=1, max_value=4),
-)
+@given(looped_streams)
 @settings(max_examples=100, deadline=None)
-def test_looped_streams(body, reps, outer):
+def test_looped_streams(seq):
     """Loop-structured streams (the HPC case) stay lossless and legal."""
-    seq = (body * reps) * outer
+    g = Grammar()
+    g.extend(seq)
+    g.check_invariants()
+    assert g.unfold() == seq
+
+
+@given(nested_streams)
+@settings(max_examples=100, deadline=None)
+def test_nested_loop_streams(seq):
+    """Loops of loops (rules inside rules, with exponents) stay lossless and legal."""
     g = Grammar()
     g.extend(seq)
     g.check_invariants()
@@ -64,10 +88,9 @@ def test_loop_compresses(body, reps):
     assert total_uses <= len(set(body)) * 8 + len(body) * 4
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+@given(structured_streams)
 @settings(max_examples=60, deadline=None)
-def test_structured_random_streams(seed):
-    seq = random_structured_stream(seed)
+def test_structured_random_streams(seq):
     g = Grammar()
     g.extend(seq)
     g.check_invariants()

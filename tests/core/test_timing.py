@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.predict import PythiaPredict
+from repro.core.progress import advance_exact, initial_chain, suffix_key
 from repro.core.record import PythiaRecord
 from repro.core.timing import TimingTable
 from tests.conftest import A, B, C, D, freeze
+from tests.core.test_grammar_properties import (
+    looped_streams,
+    nested_streams,
+    sequences,
+    structured_streams,
+)
 
 
 def record_with_times(seq, dts):
@@ -61,6 +69,63 @@ class TestReplayConstruction:
         fg = freeze([])
         table = TimingTable.from_replay(fg, [])
         assert len(table) == 0
+
+
+def chain_walk_table(fg, timestamps):
+    """Reference replay: walk the trace chain by chain with the public
+    progress API and add every delay to every suffix key, in event order.
+
+    Returns ``(sums, counts)`` in first-use key order.  The sums are
+    plain left-to-right float additions, the order the recorder's table
+    must reproduce bit for bit.
+    """
+    sums: dict = {}
+    counts: dict = {}
+    chain = initial_chain(fg)
+    for i in range(1, len(timestamps)):
+        chain = advance_exact(fg, chain)
+        dt = timestamps[i] - timestamps[i - 1]
+        for depth in range(1, len(chain) + 1):
+            key = suffix_key(chain, depth)
+            sums[key] = sums.get(key, 0.0) + dt
+            counts[key] = counts.get(key, 0) + 1
+    return sums, counts
+
+
+@st.composite
+def timed_streams(draw):
+    """A stream with loops, exponents or nesting, and sorted timestamps
+    of mixed magnitudes (equal stamps included)."""
+    seq = draw(st.one_of(sequences, looped_streams, nested_streams, structured_streams))
+    stamps = draw(
+        st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=len(seq),
+            max_size=len(seq),
+        )
+    )
+    return seq, sorted(stamps)
+
+
+class TestReplayMatchesChainWalk:
+    @given(timed_streams())
+    @example(([], []))
+    @example(([A], [0.5]))
+    @example(([A, B] * 10, [0.1 * i for i in range(20)]))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_chain_walk(self, timed):
+        seq, stamps = timed
+        fg = freeze(seq)
+        sums, counts = chain_walk_table(fg, stamps)
+        obj = TimingTable.from_replay(fg, stamps).to_obj()
+        assert [flat for flat, _total, _count in obj] == [
+            [v for step in key for v in step] for key in sums
+        ]
+        assert [float(total).hex() for _flat, total, _count in obj] == [
+            total.hex() for total in sums.values()
+        ]
+        assert [count for _flat, _total, count in obj] == list(counts.values())
+        assert TimingTable.from_obj(obj).to_obj() == obj
 
 
 class TestContextSensitivity:

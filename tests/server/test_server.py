@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.oracle import Pythia
 from repro.experiments.harness import mpi_record_run
+from repro.obs import metrics as obs_metrics
 from repro.server import OracleServer, PythiaClient, TraceStore
 from repro.server.protocol import read_frame, write_frame
 
@@ -206,8 +207,11 @@ class TestConcurrentSessions:
         # one shared trace: every session after the first hits the store
         assert stats["store"]["misses"] == 1
         assert stats["store"]["hits"] >= self.N_CLIENTS - 1
-        assert "observe" in stats["latency"]
-        assert stats["latency"]["predict"]["count"] >= self.N_CLIENTS * self.STEPS
+        if obs_metrics.metrics_enabled():
+            assert "observe" in stats["latency"]
+            assert stats["latency"]["predict"]["count"] >= self.N_CLIENTS * self.STEPS
+        else:  # PYTHIA_METRICS=0: no latency samples are kept
+            assert stats["latency"] == {}
 
     def test_sessions_are_isolated(self, npb_trace, server):
         """Two sessions at different positions answer differently."""
@@ -348,6 +352,25 @@ class TestTCP:
                 name, payload = npb_event_stream(npb_trace)[0]
                 client.event(name, payload)
                 assert client.stats()["observed"] == 1
+
+
+class TestMetricsDisabled:
+    def test_stats_op_over_null_registry(self, npb_trace, tmp_path):
+        """With PYTHIA_METRICS=0 the latency histograms are null
+        instruments; ``stats`` must answer, with an empty latency view."""
+        prev = obs_metrics.get_registry()
+        obs_metrics.set_registry(obs_metrics.NullRegistry())
+        try:
+            with OracleServer(str(tmp_path / "null.sock")) as server:
+                events = npb_event_stream(npb_trace)[:10]
+                with PythiaClient(npb_trace, socket=server.socket_path) as remote:
+                    for name, payload in events:
+                        remote.event_and_predict(name, payload)
+                    stats = remote.server_stats()
+        finally:
+            obs_metrics.set_registry(prev)
+        assert stats["counters"]["events_observed"] == len(events)
+        assert stats["latency"] == {}
 
 
 class TestServerLifecycle:
