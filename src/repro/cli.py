@@ -412,6 +412,7 @@ def _start_httpd(args, provider, registry=None):
 def _cmd_serve(args) -> int:
     from repro.obs.profiler import profiler_from_env
     from repro.server import OracleServer, TraceStore
+    from repro.server.daemon import serve_forever
 
     tcp_address = None
     if args.tcp:
@@ -424,7 +425,6 @@ def _cmd_serve(args) -> int:
             None if tcp_address else args.socket,
             tcp_address=tcp_address,
             workers=args.workers,
-            use_mmap=not args.no_mmap,
             cache_size=args.cache_size,
             drain_deadline=args.drain_deadline,
         )
@@ -432,14 +432,12 @@ def _cmd_serve(args) -> int:
         addr = supervisor.address
         where = addr if isinstance(addr, str) else f"{addr[0]}:{addr[1]}"
         print(f"pythia oracle supervisor listening on {where} "
-              f"({args.workers} workers, "
-              f"{'mmap' if not args.no_mmap else 'json'} grammars); "
-              f"SIGTERM drains, Ctrl-C stops")
+              f"({args.workers} workers); SIGTERM drains, Ctrl-C stops")
         # scrape counts go to the supervisor's own registry so they show
         # up (unlabeled) in the merged /metrics page
         httpd = _start_httpd(args, supervisor, registry=supervisor._registry)
         try:
-            supervisor.serve_forever(drain_deadline=args.drain_deadline)
+            serve_forever(supervisor, drain_deadline=args.drain_deadline)
         finally:
             if httpd is not None:
                 httpd.stop()
@@ -460,7 +458,7 @@ def _cmd_serve(args) -> int:
           f"SIGTERM drains, Ctrl-C stops")
     httpd = _start_httpd(args, server)
     try:
-        server.serve_forever(drain_deadline=args.drain_deadline)
+        serve_forever(server, drain_deadline=args.drain_deadline)
     finally:
         if httpd is not None:
             httpd.stop()
@@ -543,9 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--workers", type=int, default=0, metavar="N",
                      help="run N worker processes behind a supervisor "
                           "(0 = single-process daemon)")
-    srv.add_argument("--no-mmap", action="store_true",
-                     help="multi-worker: parse JSON traces per worker "
-                          "instead of sharing mmap'd artifacts")
     srv.add_argument("--http", type=int, default=None, metavar="PORT",
                      help="also serve the HTTP observability endpoint "
                           "(/metrics /healthz /ready /sessions.json "

@@ -36,7 +36,7 @@ import json
 import mmap
 import os
 import struct
-from typing import Iterator, Mapping
+from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
 
 from repro.core.events import EventRegistry
 from repro.core.frozen import FrozenGrammar
@@ -86,40 +86,42 @@ class ArtifactFormatError(TraceFormatError):
 # ----------------------------------------------------------------------
 
 
-_MISSING = object()
-
-
-class _LazyPairsMap(Mapping):
+class _LazyPairsMap(dict):
     """``{key: ((a, b), ...)}`` decoded per key, on first touch.
 
     ``offsets[i] .. offsets[i+1]`` delimit (in pairs) the rows of
-    ``keys[i]`` inside the flat int64-pair array at ``base``.  Decoded
-    tuples are cached per process; untouched keys stay as bytes in the
-    shared mapping.
+    ``keys[i]`` inside the flat int64-pair array at ``base``.  The dict
+    itself holds only the rows this process has decoded, so a repeat
+    lookup is a plain dict hit — the prediction path indexes these
+    tables on every successor-memo miss — and ``__missing__`` decodes
+    the rest; untouched keys stay as bytes in the shared mapping.  The
+    mapping methods span every key, decoded or not; code that reads a
+    dict's storage directly (``json.dumps``) would see only the decoded
+    rows, so serialisers go through ``items()``.
     """
 
-    __slots__ = ("_buf", "_base", "_keys", "_index", "_offsets", "_cache")
+    __slots__ = ("_buf", "_base", "_keys", "_index", "_offsets")
 
     def __init__(self, buf, base: int, keys: tuple, offsets: tuple) -> None:
+        super().__init__()
         self._buf = buf
         self._base = base
         self._keys = keys
         self._index = {k: i for i, k in enumerate(keys)}
         self._offsets = offsets
-        self._cache: dict = {}
 
-    def __getitem__(self, key):
-        val = self._cache.get(key, _MISSING)
-        if val is _MISSING:
-            i = self._index[key]  # raises KeyError for unknown keys
-            lo = self._offsets[i]
-            n = self._offsets[i + 1] - lo
-            flat = struct.unpack_from(
-                f"<{2 * n}q", self._buf, self._base + _PAIR_BYTES * lo
-            )
-            val = tuple(zip(flat[::2], flat[1::2]))
-            self._cache[key] = val
+    def __missing__(self, key):
+        i = self._index[key]  # raises KeyError for unknown keys
+        lo = self._offsets[i]
+        n = self._offsets[i + 1] - lo
+        flat = struct.unpack_from(
+            f"<{2 * n}q", self._buf, self._base + _PAIR_BYTES * lo
+        )
+        val = self[key] = tuple(zip(flat[::2], flat[1::2]))
         return val
+
+    def get(self, key, default=None):
+        return self[key] if key in self._index else default
 
     def __iter__(self) -> Iterator:
         return iter(self._keys)
@@ -130,10 +132,23 @@ class _LazyPairsMap(Mapping):
     def __contains__(self, key) -> bool:  # no decode just to answer `in`
         return key in self._index
 
+    def keys(self) -> KeysView:
+        return KeysView(self)
+
+    def items(self) -> ItemsView:
+        return ItemsView(self)
+
+    def values(self) -> ValuesView:
+        return ValuesView(self)
+
+    # compare the whole mapping, not just the rows decoded so far
+    __eq__ = Mapping.__eq__
+    __ne__ = object.__ne__
+
     @property
     def decoded(self) -> int:
         """How many keys this process has materialised (observability)."""
-        return len(self._cache)
+        return dict.__len__(self)
 
 
 class MmapGrammar(FrozenGrammar):
@@ -460,6 +475,9 @@ def ensure_artifact(
     sig = _source_signature(trace_path)  # FileNotFoundError for absent traces
     if not force and artifact_is_fresh(artifact_path, sig):
         return artifact_path, "reused"
+    # a PYTHIA_ARTIFACT_DIR that does not exist yet: the lock file and
+    # the artifact both land in it
+    os.makedirs(os.path.dirname(os.path.abspath(artifact_path)), exist_ok=True)
     if fcntl is None:  # pragma: no cover - non-POSIX fallback
         write_artifact(load_trace(trace_path), artifact_path, sig)
         return artifact_path, "compiled"

@@ -5,8 +5,10 @@ re-loads and re-indexes the grammar and concurrent applications cannot
 share anything.  This subsystem splits record from serve:
 
 - :mod:`repro.server.store` — :class:`TraceStore`, an LRU-bounded,
-  concurrency-safe cache of loaded trace bundles (one load per trace
-  file, shared by every session);
+  concurrency-safe cache of trace bundles, each mapped from the trace's
+  compiled ``.pygx`` artifact (:mod:`repro.core.mmap_grammar`; one
+  compile per trace file per host, shared by every session and
+  process);
 - :mod:`repro.server.daemon` — :class:`OracleServer`, a daemon serving
   every connection from one event loop (:mod:`repro.server.eventloop`)
   over a Unix socket (TCP optional), both framings through one
@@ -17,13 +19,14 @@ share anything.  This subsystem splits record from serve:
 - :mod:`repro.server.protocol` — the framing and value encodings.
 
 - :mod:`repro.server.supervisor` — :class:`OracleSupervisor`, the
-  multi-process serving tier: N worker processes (each a full
-  ``OracleServer``) behind one listening socket, sessions pinned to
-  workers by consistent hash (fd passing over ``SCM_RIGHTS``), crashed
-  workers restarted, per-worker telemetry merged into one exposition;
-  workers share grammars through mmap'd compiled artifacts
-  (:mod:`repro.core.mmap_grammar`) so a host pays one parse and one
-  page-cache copy per trace regardless of worker count.
+  multi-process serving tier: N worker processes
+  (:mod:`repro.server.worker`, each a full ``OracleServer``) behind one
+  listening socket, sessions pinned to workers by consistent hash (fd
+  passing over ``SCM_RIGHTS``), crashed workers restarted, per-worker
+  telemetry fanned in over each worker's control connection — served
+  by the worker's own dispatch — and merged into one exposition;
+  workers map the same compiled artifacts, so a host pays one parse
+  and one page-cache copy per trace regardless of worker count.
 
 Start a daemon with ``pythia-trace serve --socket /tmp/pythia.sock`` (or
 :class:`OracleServer` in-process) and point any number of applications
@@ -34,8 +37,9 @@ The stack is fault tolerant end to end: the client reconnects with
 capped exponential backoff (:class:`RetryPolicy`), replays a ring of
 recent events to resynchronise its daemon session, and degrades to an
 in-process oracle (or honest ``lost`` predictions) when the daemon stays
-unreachable; the daemon drains gracefully on SIGTERM, answering late
-requests with the retryable ``shutting_down`` code.
+unreachable; the daemon drains gracefully on SIGTERM
+(:func:`~repro.server.daemon.serve_forever`, shared by both tiers),
+answering late requests with the retryable ``shutting_down`` code.
 """
 
 from repro.server.client import OracleServiceError, PythiaClient, RetryPolicy

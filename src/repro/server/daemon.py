@@ -76,7 +76,7 @@ Error isolation: a bad request gets an ``{ok: false, code, error}``
 response; a broken frame closes only that connection; nothing a client
 sends can take the daemon down.
 
-Graceful drain: SIGTERM (under :meth:`OracleServer.serve_forever`) or
+Graceful drain: SIGTERM (under :func:`serve_forever`) or
 :meth:`OracleServer.drain` stops accepting connections, finishes
 requests already being served within the drain deadline and answers
 anything arriving later with the retryable ``shutting_down`` code —
@@ -127,9 +127,9 @@ from repro.server.protocol import (
     encode_json_frame,
     encode_prediction,
 )
-from repro.server.store import TraceBundle, TraceStore
+from repro.server.store import ArtifactWriteError, TraceBundle, TraceStore
 
-__all__ = ["OracleServer", "RequestError"]
+__all__ = ["OracleServer", "RequestError", "serve_forever"]
 
 _log = get_logger("server")
 
@@ -155,6 +155,75 @@ _METRIC_CATALOGUE: tuple[tuple[str, str], ...] = (
     ("pythia_successor_cache_evictions_total", "Successor-machine memo evictions"),
     ("pythia_successor_det_hits_total", "Deterministic-transition fast-path hits"),
 )
+
+
+def bind_listener(
+    socket_path: str | None, tcp_address: tuple[str, int] | None
+) -> socket.socket | None:
+    """A listening socket on ``socket_path`` (replacing a stale socket
+    file) or ``tcp_address``; ``None`` when both are ``None``."""
+    if socket_path is not None:
+        try:
+            os.unlink(socket_path)
+        except FileNotFoundError:
+            pass
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(socket_path)
+    elif tcp_address is not None:
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(tcp_address)
+    else:
+        return None
+    listener.listen(256)
+    return listener
+
+
+def close_listener(listener: socket.socket | None) -> None:
+    """Stop a listener for good: shut it down, then close it."""
+    if listener is None:
+        return
+    # shutdown wakes a thread blocked in accept() — close alone leaves
+    # it in the syscall holding the listener alive, so new connects
+    # would still land in the backlog
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        listener.close()
+    except OSError:
+        pass
+
+
+def serve_forever(server, *, drain_deadline: float) -> None:
+    """Block on a started server until it is stopped (for the CLI).
+
+    ``server`` is an :class:`OracleServer` or an
+    :class:`~repro.server.supervisor.OracleSupervisor`.  SIGTERM
+    triggers the graceful path: ``server.drain(drain_deadline)`` —
+    finish in-flight requests within the deadline, answer late ones
+    with ``shutting_down`` — and then ``server.stop()``.
+    KeyboardInterrupt skips the drain phase: Ctrl-C means *now*.
+    """
+    stop_requested = threading.Event()
+    old_handler = None
+    in_main = threading.current_thread() is threading.main_thread()
+    if in_main:
+        old_handler = signal.signal(
+            signal.SIGTERM, lambda *_sig: stop_requested.set()
+        )
+    try:
+        while server._running.is_set() and not stop_requested.is_set():
+            time.sleep(0.05)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        if in_main and old_handler is not None:
+            signal.signal(signal.SIGTERM, old_handler)
+        if stop_requested.is_set():
+            server.drain(drain_deadline)
+        server.stop()
 
 
 class RequestError(Exception):
@@ -321,21 +390,7 @@ class OracleServer:
         """Bind, listen and spawn the accept loop; returns self."""
         if self._started:
             raise RuntimeError("server already started")
-        listener: socket.socket | None = None
-        if self.socket_path is not None:
-            try:
-                os.unlink(self.socket_path)
-            except FileNotFoundError:
-                pass
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.socket_path)
-        elif self.tcp_address is not None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(self.tcp_address)
-        if listener is not None:
-            listener.listen(128)
-        self._listener = listener
+        self._listener = bind_listener(self.socket_path, self.tcp_address)
         self._started = True
         self._running.set()
         self._draining.clear()
@@ -348,7 +403,7 @@ class OracleServer:
         if self.history is not None:
             self.history.start()
         self._loop = ConnectionLoop(self).start()
-        if listener is not None:
+        if self._listener is not None:
             self._accept_thread = threading.Thread(
                 target=self._accept_loop, name="pythia-accept", daemon=True
             )
@@ -381,7 +436,7 @@ class OracleServer:
         if already:
             return
         _log.info("server_draining", deadline=deadline)
-        self._close_listener()
+        close_listener(self._listener)
         t0 = time.monotonic()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=deadline)
@@ -394,27 +449,12 @@ class OracleServer:
             leftover = self._inflight
         _log.info("server_drained", inflight_left=leftover)
 
-    def _close_listener(self) -> None:
-        if self._listener is None:
-            return
-        # shutdown wakes a thread blocked in accept() — close alone
-        # leaves it in the syscall holding the listener alive, so new
-        # connects would still land in the backlog
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
     def stop(self) -> None:
         """Stop accepting, close every connection, unlink the socket."""
         if not self._started:
             return
         self._running.clear()
-        self._close_listener()
+        close_listener(self._listener)
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         # the loop owns every connection: it closes them and sweeps
@@ -451,35 +491,6 @@ class OracleServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def serve_forever(self, *, drain_deadline: float = 5.0) -> None:
-        """Block until interrupted (for the CLI).
-
-        SIGTERM triggers the graceful path: :meth:`drain` (finish
-        in-flight requests within ``drain_deadline`` seconds, answer
-        late ones with ``shutting_down``) and then :meth:`stop`.
-        KeyboardInterrupt skips the drain phase — Ctrl-C means *now*.
-        """
-        if not self._started:
-            self.start()
-        stop_requested = threading.Event()
-        old_handler = None
-        in_main = threading.current_thread() is threading.main_thread()
-        if in_main:
-            old_handler = signal.signal(
-                signal.SIGTERM, lambda *_sig: stop_requested.set()
-            )
-        try:
-            while self._running.is_set() and not stop_requested.is_set():
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if in_main and old_handler is not None:
-                signal.signal(signal.SIGTERM, old_handler)
-            if stop_requested.is_set():
-                self.drain(drain_deadline)
-            self.stop()
-
     # ------------------------------------------------------------------
     # connections
     # ------------------------------------------------------------------
@@ -514,7 +525,9 @@ class OracleServer:
         The supervisor accepts on the shared listener, peeks the first
         frame to pick a worker, and passes the connection's fd here via
         ``SCM_RIGHTS``; from this point the socket behaves exactly like
-        one this server accepted itself.  Returns the connection id.
+        one this server accepted itself.  A worker adopts its
+        supervisor control connection the same way.  Returns the
+        connection id.
         """
         if not self._started or not self._running.is_set():
             raise RuntimeError("server is not running")
@@ -637,10 +650,12 @@ class OracleServer:
             error = None
         except RequestError as exc:
             error = (exc.code, str(exc))
-        except (FileNotFoundError, TraceFormatError, KeyError, ValueError, TypeError) as exc:
+        except (FileNotFoundError, TraceFormatError, ArtifactWriteError, KeyError,
+                ValueError, TypeError) as exc:
             code = {
                 FileNotFoundError: "trace_not_found",
                 TraceFormatError: "trace_format",
+                ArtifactWriteError: "artifact_unwritable",
                 KeyError: "no_such_thread",
             }.get(type(exc), "bad_request")
             # KeyError reprs its message; unwrap just that one
@@ -1117,7 +1132,8 @@ class OracleServer:
         ``seconds > 0`` collects a fresh window (snapshot-diffed against
         the running profiler, or on a temporary one while profiling is
         off); ``seconds == 0`` returns the running profiler's cumulative
-        view.  Capped at 60 s — the window holds a request thread.
+        view.  Capped at 60 s — the window holds a thread of its own
+        (see :mod:`repro.server.eventloop`).
         """
         fmt = request.get("format", "collapsed")
         if fmt not in ("collapsed", "svg"):

@@ -19,12 +19,14 @@ thread:
 - fast ops dispatch inline on the loop thread — the tracker work behind
   ``observe_predict`` is microseconds, far below the cost of a thread
   handoff;
-- ops that may block for real time (``open_session`` compiles a trace,
-  ``profile_dump`` can sample a window for seconds) are offloaded to a
-  sidecar thread.  While one is in flight the connection's parser is
-  paused (its ``busy`` flag), so replies stay in request order — the
-  ordering the implicit-rid tracing scheme and pipelined clients both
-  rely on;
+- ops that may block for real time are offloaded: ``open_session``
+  (it may compile a trace) queues on a sidecar thread, and
+  ``profile_dump`` (it may sample a window of up to a minute) gets a
+  thread of its own, so a profile window never holds up the session
+  opens queued behind it.  While one is in flight the connection's
+  parser is paused (its ``busy`` flag), so replies stay in request
+  order — the ordering the implicit-rid tracing scheme and pipelined
+  clients both rely on;
 - replies are buffered and flushed as the socket allows; the loop
   registers for writability only while a buffer is non-empty
   (backpressure without threads);
@@ -48,7 +50,7 @@ from repro.server.protocol import FrameParser, ProtocolError, encode_json_frame
 __all__ = ["ConnectionLoop", "SLOW_OPS"]
 
 #: ops whose handlers may block for wall-clock time (trace compile,
-#: profiler windows); they run on the sidecar thread so the loop keeps
+#: profiler windows); they run off the loop thread so the loop keeps
 #: serving every other connection meanwhile
 SLOW_OPS = frozenset({"open_session", "profile_dump"})
 
@@ -273,7 +275,15 @@ class ConnectionLoop:
         op = frame[1].get("op") if frame[0] == "json" else None
         if isinstance(op, str) and op in SLOW_OPS:
             conn.busy = True
-            self._slow_q.put((conn, frame, recv_ts))
+            if op == "profile_dump":
+                # a profile window sleeps for its whole length: on the
+                # sidecar it would stall every open_session behind it
+                threading.Thread(
+                    target=self._run_slow, args=(conn, frame, recv_ts),
+                    name="pythia-loop-profile", daemon=True,
+                ).start()
+            else:
+                self._slow_q.put((conn, frame, recv_ts))
             return
         try:
             conn.out += self._server.dispatch(frame, conn.conn_id, recv_ts, conn.ctx)
@@ -282,21 +292,24 @@ class ConnectionLoop:
             # max_frame): drop only this connection
             self._drop(conn)
 
-    # -- sidecar for slow ops -------------------------------------------
+    # -- slow ops: sidecar thread, profile windows ----------------------
 
     def _slow_run(self) -> None:
-        dispatch = self._server.dispatch
         while True:
             item = self._slow_q.get()
             if item is None:
                 return
-            conn, frame, recv_ts = item
-            try:
-                reply, ok = dispatch(frame, conn.conn_id, recv_ts, conn.ctx), True
-            except Exception:
-                reply, ok = b"", False
-            self._completions.append((conn, reply, ok))
-            self._wake()
+            self._run_slow(*item)
+
+    def _run_slow(self, conn: _Conn, frame: tuple, recv_ts: float) -> None:
+        """Dispatch one slow op and hand its reply to the loop thread."""
+        try:
+            reply = self._server.dispatch(frame, conn.conn_id, recv_ts, conn.ctx)
+            ok = True
+        except Exception:
+            reply, ok = b"", False
+        self._completions.append((conn, reply, ok))
+        self._wake()
 
     # -- writes / teardown ----------------------------------------------
 

@@ -99,6 +99,7 @@ __all__ = [
     "FrameTooLarge",
     "ConnectionClosed",
     "FrameParser",
+    "parse_frame",
     "OP_OBSERVE",
     "OP_OBSERVE_PREDICT",
     "OP_PREDICT",
@@ -130,6 +131,7 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct(">I")
+_JSON_HEAD = _HEADER.size
 
 #: refuse frames beyond this many bytes (a batch of ~100k events fits
 #: comfortably; anything larger is a bug or an attack, not a request)
@@ -144,6 +146,7 @@ BIN_MAGIC = 0xA7
 
 #: (magic, opcode, flags, body length)
 _BIN_HEADER = struct.Struct(">BBHI")
+_BIN_HEAD = _BIN_HEADER.size
 #: the header followed by a traced reply's :data:`SRV_PAIR`
 _BIN_HEADER_SRV = struct.Struct(">BBHIII")
 
@@ -212,23 +215,6 @@ class ConnectionClosed(ProtocolError):
         self.partial = partial
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes, ``None`` on clean EOF at a boundary."""
-    chunks: list[bytes] = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(min(n - got, 1 << 16))
-        if not chunk:
-            if got == 0:
-                return None
-            raise ConnectionClosed(
-                f"connection closed mid-frame ({got}/{n} bytes)", partial=True
-            )
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
 def read_frame(sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME) -> dict | None:
     """Read one JSON frame; ``None`` on clean EOF before a header.
 
@@ -262,32 +248,57 @@ def read_frame_any(
     Returns ``("json", obj)`` for a length-prefixed JSON frame or
     ``("bin", opcode, flags, body)`` for a binary one — the first byte
     decides (see :data:`BIN_MAGIC`).  Raises the same errors as
-    :func:`read_frame`.
+    :func:`read_frame`.  Reads only up to the end :func:`parse_frame`
+    reports, so the bytes after the frame stay in the socket.
     """
-    first = _recv_exact(sock, 1)
-    if first is None:
-        return None
-    if first[0] != BIN_MAGIC:
-        rest = _recv_exact(sock, _HEADER.size - 1)
-        if rest is None:
-            raise ConnectionClosed("connection closed mid-frame", partial=True)
-        (length,) = _HEADER.unpack(first + rest)
+    buf = bytearray()
+    end = _JSON_HEAD  # no frame is shorter than a JSON header
+    while True:
+        n = end - len(buf)
+        chunk = sock.recv(n if n < 1 << 16 else 1 << 16)
+        if not chunk:
+            if not buf:
+                return None
+            raise ConnectionClosed(
+                f"connection closed mid-frame ({len(buf)} bytes in)", partial=True
+            )
+        buf += chunk
+        end, frame = parse_frame(buf, max_frame)
+        if frame is not None:
+            return frame
+
+
+def parse_frame(buf: bytes | bytearray, max_frame: int = DEFAULT_MAX_FRAME) -> tuple:
+    """Parse the frame at the head of ``buf``: ``(end, frame)``.
+
+    ``frame`` has :func:`read_frame_any`'s shapes, or is ``None`` while
+    the frame is incomplete; ``end`` is then how many bytes ``buf`` must
+    hold for the next call to make progress — the header until it is
+    in, then the whole frame.  It never reaches past the frame, so a
+    reader that receives up to ``end`` leaves the next frame unread.
+    Raises :class:`FrameTooLarge` once an oversized length is announced
+    and :class:`ProtocolError` for a JSON body that is not an object.
+    """
+    n = len(buf)
+    if n and buf[0] == BIN_MAGIC:
+        if n < _BIN_HEAD:
+            return _BIN_HEAD, None
+        _magic, opcode, flags, length = _BIN_HEADER.unpack_from(buf)
         if length > max_frame:
             raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
-        body = _recv_exact(sock, length) if length else b""
-        if body is None:
-            raise ConnectionClosed("connection closed mid-frame", partial=True)
-        return "json", _parse_json_body(body)
-    rest = _recv_exact(sock, _BIN_HEADER.size - 1)
-    if rest is None:
-        raise ConnectionClosed("connection closed mid-frame", partial=True)
-    _magic, opcode, flags, length = _BIN_HEADER.unpack(first + rest)
+        end = _BIN_HEAD + length
+        if n < end:
+            return end, None
+        return end, ("bin", opcode, flags, bytes(buf[_BIN_HEAD:end]))
+    if n < _JSON_HEAD:
+        return _JSON_HEAD, None
+    (length,) = _HEADER.unpack_from(buf)
     if length > max_frame:
         raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
-    body = _recv_exact(sock, length) if length else b""
-    if body is None:
-        raise ConnectionClosed("connection closed mid-frame", partial=True)
-    return "bin", opcode, flags, body
+    end = _JSON_HEAD + length
+    if n < end:
+        return end, None
+    return end, ("json", _parse_json_body(bytes(buf[_JSON_HEAD:end])))
 
 
 class FrameParser:
@@ -319,43 +330,17 @@ class FrameParser:
     def next_frame(self) -> tuple | None:
         if self._dead is not None:
             raise self._dead
-        try:
-            return self._next()
-        except ProtocolError as exc:
-            self._dead = exc
-            raise
-
-    def _next(self) -> tuple | None:
         buf = self._buf
         if not buf:
             return None
-        if buf[0] != BIN_MAGIC:
-            if len(buf) < _HEADER.size:
-                return None
-            (length,) = _HEADER.unpack_from(buf)
-            if length > self.max_frame:
-                raise FrameTooLarge(
-                    f"frame of {length} bytes exceeds limit {self.max_frame}"
-                )
-            end = _HEADER.size + length
-            if len(buf) < end:
-                return None
-            body = bytes(buf[_HEADER.size:end])
+        try:
+            end, frame = parse_frame(buf, self.max_frame)
+        except ProtocolError as exc:
+            self._dead = exc
+            raise
+        if frame is not None:
             del buf[:end]
-            return "json", _parse_json_body(body)
-        if len(buf) < _BIN_HEADER.size:
-            return None
-        _magic, opcode, flags, length = _BIN_HEADER.unpack_from(buf)
-        if length > self.max_frame:
-            raise FrameTooLarge(
-                f"frame of {length} bytes exceeds limit {self.max_frame}"
-            )
-        end = _BIN_HEADER.size + length
-        if len(buf) < end:
-            return None
-        body = bytes(buf[_BIN_HEADER.size:end])
-        del buf[:end]
-        return "bin", opcode, flags, body
+        return frame
 
 
 def encode_json_body(obj: dict, *, extra: str | None = None) -> bytes:

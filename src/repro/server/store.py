@@ -15,13 +15,14 @@ actual file load happens outside it behind a per-entry event, so two
 sessions opening the same cold trace trigger a single load and a slow
 load of one trace never blocks hits on another.
 
-With ``use_mmap=True`` the same guarantee extends across *processes*:
-instead of parsing the JSON trace, the store maps the compiled artifact
-(:mod:`repro.core.mmap_grammar`).  :func:`ensure_artifact` holds an
-exclusive file lock around compilation, so when the multi-worker daemon
-starts N workers against one cold trace exactly one process parses and
-compiles while the rest wait on the lock and map the finished file —
-the in-process ``waiters_ok`` accounting extended by the cross-process
+The same guarantee extends across *processes*: the store never parses
+the JSON trace itself but maps its compiled artifact
+(:mod:`repro.core.mmap_grammar`), written next to the trace or under
+``PYTHIA_ARTIFACT_DIR``.  :func:`ensure_artifact` holds an exclusive
+file lock around compilation, so when the multi-worker daemon starts N
+workers against one cold trace exactly one process parses and compiles
+while the rest wait on the lock and map the finished file — the
+in-process ``waiters_ok`` accounting extended by the cross-process
 ``artifact_compiles`` / ``artifact_waits`` / ``artifact_reuses``
 counters in :meth:`TraceStore.snapshot`.
 """
@@ -40,9 +41,9 @@ from repro.core.mmap_grammar import (
     load_artifact,
 )
 from repro.core.predict import PythiaPredict
-from repro.core.trace_file import Trace, TraceFormatError, load_trace
+from repro.core.trace_file import Trace, TraceFormatError
 
-__all__ = ["TraceBundle", "TraceStore"]
+__all__ = ["ArtifactWriteError", "TraceBundle", "TraceStore"]
 
 #: (mtime_ns, size) — identifies one version of a trace file
 _Sig = tuple[int, int]
@@ -55,8 +56,8 @@ class TraceBundle:
     path: str
     signature: _Sig
     trace: Trace
-    #: compiled artifact backing this bundle (mmap loads only)
-    artifact: str | None = None
+    #: compiled artifact the bundle's grammars are mapped from
+    artifact: str
 
     @property
     def registry(self) -> EventRegistry:
@@ -75,6 +76,15 @@ class TraceBundle:
         if tt is None:
             raise KeyError(f"reference trace has no thread {thread}")
         return PythiaPredict(tt.grammar, tt.timing, max_candidates=max_candidates)
+
+
+class ArtifactWriteError(OSError):
+    """The compiled artifact of a trace cannot be written where it goes.
+
+    Raised by :meth:`TraceStore.get` in place of the underlying
+    :class:`OSError` (a read-only trace directory, say); the message
+    names ``PYTHIA_ARTIFACT_DIR``, which moves the artifacts elsewhere.
+    """
 
 
 def _per_waiter_copy(exc: Exception) -> Exception:
@@ -111,18 +121,12 @@ class TraceStore:
         Maximum number of cached bundles; least-recently-used bundles
         beyond it are evicted (their sessions keep a reference and stay
         valid — eviction only forgets the cache slot).
-    use_mmap:
-        Load traces through the compiled mmap artifact
-        (:mod:`repro.core.mmap_grammar`) instead of parsing the JSON
-        form.  Workers of one host then share a single on-disk compile
-        and one page-cache copy of the grammar tables.
     """
 
-    def __init__(self, capacity: int = 8, *, use_mmap: bool = False) -> None:
+    def __init__(self, capacity: int = 8) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.use_mmap = use_mmap
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         # observability counters (read via snapshot())
@@ -132,7 +136,7 @@ class TraceStore:
         self.invalidations = 0
         self.waiters_ok = 0
         self.waiters_failed = 0
-        # cross-process artifact accounting (use_mmap only)
+        # cross-process artifact accounting
         self.artifact_compiles = 0
         self.artifact_waits = 0
         self.artifact_reuses = 0
@@ -148,8 +152,10 @@ class TraceStore:
         """Return the bundle for ``path``, loading it at most once.
 
         A changed file (different mtime/size) invalidates the cached
-        bundle and reloads.  Raises whatever :func:`load_trace` raises
-        (:class:`FileNotFoundError`, :class:`TraceFormatError`).
+        bundle and reloads.  Raises :class:`FileNotFoundError` for an
+        absent trace, :class:`TraceFormatError` for one that does not
+        parse, and :class:`ArtifactWriteError` when the artifact cannot
+        be written.
         """
         path = os.path.abspath(os.fspath(path))
         sig = self._signature(path)  # raises FileNotFoundError for absent files
@@ -204,9 +210,17 @@ class TraceStore:
 
     def _load(self, path: str, sig: _Sig) -> TraceBundle:
         """One actual trace load (runs outside the store lock)."""
-        if not self.use_mmap:
-            return TraceBundle(path, sig, load_trace(path))
-        artifact, outcome = ensure_artifact(path)
+        try:
+            artifact, outcome = ensure_artifact(path)
+        except FileNotFoundError:
+            raise  # the trace itself is gone
+        except OSError as exc:
+            # load_trace turns every other OSError of the trace into
+            # TraceFormatError: this one is the artifact's
+            raise ArtifactWriteError(
+                f"cannot write the compiled artifact of {path}: {exc}; "
+                "set PYTHIA_ARTIFACT_DIR to a writable directory"
+            ) from exc
         try:
             trace = load_artifact(artifact, expected_signature=sig)
         except ArtifactFormatError:
@@ -250,7 +264,7 @@ class TraceStore:
     def snapshot(self) -> dict:
         """Counters for the ``stats`` endpoint."""
         with self._lock:
-            snap: dict = {
+            return {
                 "cached": len(self._entries),
                 "capacity": self.capacity,
                 "hits": self.hits,
@@ -259,16 +273,14 @@ class TraceStore:
                 "invalidations": self.invalidations,
                 "waiters_ok": self.waiters_ok,
                 "waiters_failed": self.waiters_failed,
-            }
-            if self.use_mmap:
-                snap["artifact_compiles"] = self.artifact_compiles
-                snap["artifact_waits"] = self.artifact_waits
-                snap["artifact_reuses"] = self.artifact_reuses
-                snap["artifacts"] = sorted(
+                "artifact_compiles": self.artifact_compiles,
+                "artifact_waits": self.artifact_waits,
+                "artifact_reuses": self.artifact_reuses,
+                "artifacts": sorted(
                     {
                         e.bundle.artifact
                         for e in self._entries.values()
-                        if e.bundle is not None and e.bundle.artifact
+                        if e.bundle is not None
                     }
-                )
-            return snap
+                ),
+            }

@@ -33,15 +33,22 @@ PR-5 reconnect/resync layer; the supervisor's listener never goes away,
 so a reconnect succeeds immediately.
 
 A connection whose first frame is an *admin* op (``metrics`` /
-``sessions`` / ``stats`` / ``ping`` / ``workers``) with no session
-context is served by the supervisor itself, which fans the request out
-to every live worker over per-worker RPC channels and merges the
+``sessions`` / ``stats`` / ``ping`` / ``workers`` / ``profile_dump`` /
+``history``) with no session context is served by the supervisor
+itself.  It fans the request out to every live worker and merges the
 answers — ``metrics`` becomes one Prometheus exposition with a
 ``worker`` label on every sample (:func:`repro.obs.metrics.
 merge_expositions`) plus the supervisor's own ``pythia_worker_*``
 gauges; ``sessions`` is the union table with a ``worker`` column;
 ``stats`` sums counters across workers.  ``pythia-trace sessions`` and
 ``pythia-trace top`` work unchanged against a supervisor.
+
+Each worker has a *control connection* to the supervisor: a socket
+pair the worker adopts into its event loop like any client
+connection, so the daemon's own handlers answer the fan-out in the
+daemon's own reply shapes, and those requests count in the worker's
+request counters.  One fan-out (:meth:`OracleSupervisor._fan_out`)
+writes the request to every worker before reading any reply.
 
 The monitor thread restarts crashed workers (same worker id) and
 tracks restarts per worker; grammar loads stay one-per-host because
@@ -53,11 +60,8 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import os
-import signal
 import socket
-import struct
 import subprocess
 import sys
 import threading
@@ -71,11 +75,15 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.process import register_process_metrics
-from repro.server.daemon import OracleServer
+from repro.server.daemon import OracleServer, bind_listener, close_listener
 from repro.server.protocol import (
     BIN_MAGIC,
     DEFAULT_MAX_FRAME,
+    ConnectionClosed,
+    FrameParser,
     ProtocolError,
+    encode_json_frame,
+    parse_frame,
     read_frame,
     write_frame,
 )
@@ -83,8 +91,6 @@ from repro.server.protocol import (
 __all__ = ["HashRing", "OracleSupervisor"]
 
 _log = get_logger("supervisor")
-
-_HEADER = struct.Struct(">I")
 
 #: ops the supervisor answers itself (when the first frame carries no
 #: session context); everything else is routed to a worker
@@ -134,18 +140,61 @@ class HashRing:
         return None
 
 
+class _Control:
+    """The supervisor's end of one worker's control connection.
+
+    The worker serves it as an ordinary daemon connection, so replies
+    come back in request order.  ``unanswered`` counts the requests
+    whose replies were not read yet — a fan-out that gave up on a slow
+    worker leaves its reply in flight — and :meth:`reply` discards that
+    many before it takes one as the answer.  The parser outlives each
+    read, so a reply cut short by a deadline is completed by the next.
+    """
+
+    __slots__ = ("sock", "lock", "parser", "unanswered")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.lock = threading.Lock()
+        self.parser = FrameParser()
+        self.unanswered = 0
+
+    def ask(self, frame: bytes, deadline: float) -> None:
+        """Send one request frame (``lock`` held)."""
+        self.sock.settimeout(max(1e-3, deadline - time.monotonic()))
+        self.sock.sendall(frame)
+        self.unanswered += 1
+
+    def reply(self, deadline: float) -> dict:
+        """The reply to the latest request (``lock`` held)."""
+        while True:
+            frame = self.parser.next_frame()
+            if frame is not None:
+                self.unanswered -= 1
+                if not self.unanswered:
+                    return frame[1]
+                continue
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("no reply before the deadline")
+            self.sock.settimeout(left)
+            data = self.sock.recv(1 << 16)
+            if not data:
+                raise ConnectionClosed("worker closed its control connection")
+            self.parser.feed(data)
+
+
 class _Worker:
     """Supervisor-side record of one worker process."""
 
-    __slots__ = ("wid", "proc", "conn_chan", "rpc_chan", "rpc_lock",
+    __slots__ = ("wid", "proc", "conn_chan", "control",
                  "restarts", "routed", "started_at")
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
         self.proc: subprocess.Popen | None = None
         self.conn_chan: socket.socket | None = None
-        self.rpc_chan: socket.socket | None = None
-        self.rpc_lock = threading.Lock()
+        self.control: _Control | None = None
         self.restarts = 0
         self.routed = 0
         self.started_at = 0.0
@@ -155,14 +204,14 @@ class _Worker:
         return self.proc is not None and self.proc.poll() is None
 
     def close_channels(self) -> None:
-        for chan in (self.conn_chan, self.rpc_chan):
+        for chan in (self.conn_chan, self.control and self.control.sock):
             if chan is not None:
                 try:
                     chan.close()
                 except OSError:
                     pass
         self.conn_chan = None
-        self.rpc_chan = None
+        self.control = None
 
 
 class OracleSupervisor:
@@ -176,9 +225,6 @@ class OracleSupervisor:
         fd passing.
     workers:
         Worker process count (default: ``os.cpu_count()``).
-    use_mmap:
-        Give workers mmap-artifact trace stores (one grammar compile
-        and one page-cache copy per host).  Default True.
     cache_size:
         Per-worker :class:`~repro.server.store.TraceStore` capacity.
     drain_deadline:
@@ -192,7 +238,6 @@ class OracleSupervisor:
         *,
         tcp_address: tuple[str, int] | None = None,
         workers: int | None = None,
-        use_mmap: bool = True,
         cache_size: int = 8,
         drain_deadline: float = 5.0,
         max_frame: int = DEFAULT_MAX_FRAME,
@@ -206,7 +251,6 @@ class OracleSupervisor:
         self.socket_path = os.fspath(socket_path) if socket_path is not None else None
         self.tcp_address = tcp_address
         self.worker_count = n
-        self.use_mmap = use_mmap
         self.cache_size = cache_size
         self.drain_deadline = drain_deadline
         self.max_frame = max_frame
@@ -244,35 +288,30 @@ class OracleSupervisor:
         """Bind, spawn the workers, wait for them, start routing."""
         if self._listener is not None:
             raise RuntimeError("supervisor already started")
-        if self.socket_path is not None:
-            try:
-                os.unlink(self.socket_path)
-            except FileNotFoundError:
-                pass
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.socket_path)
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(self.tcp_address)
-        listener.listen(256)
-        self._listener = listener
+        self._listener = bind_listener(self.socket_path, self.tcp_address)
         self._running.set()
         self._draining.clear()
         for wid in self._workers:
             self._spawn_worker(wid)
-        # one blocking ping per worker: catches import/startup failures
-        # here, with a readable error, instead of at first routed request
-        deadline = time.monotonic() + ready_timeout
-        for w in self._workers.values():
-            timeout = max(0.1, deadline - time.monotonic())
-            try:
-                self._worker_rpc(w, {"op": "ping"}, timeout=timeout)
-            except (OSError, ProtocolError) as exc:
-                self.stop()
-                raise RuntimeError(
-                    f"worker {w.wid} failed to start: {exc}"
-                ) from exc
+        # every worker must answer a ping: catches import/startup
+        # failures here, with a readable error, instead of at the first
+        # routed request
+        answers = self._fan_out({"op": "ping"}, timeout=ready_timeout)
+        missing = sorted(set(self._workers) - set(answers))
+        if missing:
+            causes = []
+            reap_by = time.monotonic() + 0.5  # a dying worker may not be reaped yet
+            for wid in missing:
+                proc = self._workers[wid].proc
+                try:
+                    code = proc.wait(timeout=max(0.0, reap_by - time.monotonic()))
+                    causes.append(f"worker {wid} exited with code {code}")
+                except subprocess.TimeoutExpired:
+                    causes.append(
+                        f"worker {wid} gave no ping reply in {ready_timeout:g} s"
+                    )
+            self.stop()
+            raise RuntimeError("workers failed to start: " + "; ".join(causes))
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="pythia-sup-accept", daemon=True
         )
@@ -286,30 +325,16 @@ class OracleSupervisor:
         return self
 
     def drain(self, deadline: float | None = None) -> None:
-        """Stop accepting; ask every worker to drain and exit."""
+        """Stop accepting; SIGTERM every worker, which drains and exits."""
         if self._listener is None or self._draining.is_set():
             return
         self._draining.set()
         deadline = deadline if deadline is not None else self.drain_deadline
         _log.info("supervisor_draining", deadline=deadline)
-        # shutdown wakes the accept thread; close alone would leave it
-        # blocked in the syscall, keeping the listener (and its backlog)
-        # alive for new connects
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for w in list(self._workers.values()):
-            if not w.alive:
-                continue
-            try:
-                self._worker_rpc(w, {"op": "drain"}, timeout=1.0)
-            except (OSError, ProtocolError):
-                pass
+        close_listener(self._listener)
+        for w in self._workers.values():
+            if w.alive:
+                w.proc.terminate()
         t0 = time.monotonic()
         for w in self._workers.values():
             if w.proc is None:
@@ -325,14 +350,7 @@ class OracleSupervisor:
         if self._listener is None:
             return
         self._running.clear()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_listener(self._listener)
         with self._lock:
             pending = list(self._pending)
         for conn in pending:  # unblock router threads parked in peek
@@ -374,29 +392,6 @@ class OracleSupervisor:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def serve_forever(self, *, drain_deadline: float | None = None) -> None:
-        """Block until SIGTERM (graceful drain) or Ctrl-C (immediate)."""
-        if self._listener is None:
-            self.start()
-        stop_requested = threading.Event()
-        old_handler = None
-        in_main = threading.current_thread() is threading.main_thread()
-        if in_main:
-            old_handler = signal.signal(
-                signal.SIGTERM, lambda *_sig: stop_requested.set()
-            )
-        try:
-            while self._running.is_set() and not stop_requested.is_set():
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if in_main and old_handler is not None:
-                signal.signal(signal.SIGTERM, old_handler)
-            if stop_requested.is_set():
-                self.drain(drain_deadline)
-            self.stop()
-
     # ------------------------------------------------------------------
     # worker processes
     # ------------------------------------------------------------------
@@ -408,17 +403,15 @@ class OracleSupervisor:
         w = self._workers[wid]
         w.close_channels()
         conn_sup, conn_wk = socket.socketpair()
-        rpc_sup, rpc_wk = socket.socketpair()
+        ctl_sup, ctl_wk = socket.socketpair()
         cmd = [
             sys.executable, "-m", "repro.server.worker",
             "--worker-id", str(wid),
             "--conn-fd", str(conn_wk.fileno()),
-            "--rpc-fd", str(rpc_wk.fileno()),
+            "--rpc-fd", str(ctl_wk.fileno()),
             "--cache-size", str(self.cache_size),
             "--drain-deadline", str(self.drain_deadline),
         ]
-        if not self.use_mmap:
-            cmd.append("--no-mmap")
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
@@ -426,12 +419,12 @@ class OracleSupervisor:
             src_dir + os.pathsep + existing if existing else src_dir
         )
         w.proc = subprocess.Popen(
-            cmd, env=env, pass_fds=(conn_wk.fileno(), rpc_wk.fileno())
+            cmd, env=env, pass_fds=(conn_wk.fileno(), ctl_wk.fileno())
         )
         conn_wk.close()
-        rpc_wk.close()
+        ctl_wk.close()
         w.conn_chan = conn_sup
-        w.rpc_chan = rpc_sup
+        w.control = _Control(ctl_sup)
         w.started_at = time.monotonic()
         _log.info("worker_spawned", worker=wid, pid=w.proc.pid)
 
@@ -452,64 +445,46 @@ class OracleSupervisor:
     def _alive_ids(self) -> set[int]:
         return {wid for wid, w in self._workers.items() if w.alive}
 
-    def _worker_rpc(self, w: _Worker, request: dict, *, timeout: float = 5.0) -> dict:
-        """One framed request/reply on a worker's control channel."""
-        with w.rpc_lock:
-            chan = w.rpc_chan
-            if chan is None:
-                raise OSError("worker control channel is closed")
-            chan.settimeout(timeout)
-            write_frame(chan, request)
-            response = read_frame(chan)
-        if response is None:
-            raise OSError("worker closed its control channel")
-        return response
-
     def _fan_out(self, request: dict, *, timeout: float = 5.0) -> dict[int, dict]:
-        """The request against every live worker; dead/failed skipped."""
-        out: dict[int, dict] = {}
-        for wid in sorted(self._alive_ids()):
-            w = self._workers[wid]
-            try:
-                response = self._worker_rpc(w, request, timeout=timeout)
-            except (OSError, ProtocolError) as exc:
-                _log.warning("worker_rpc_failed", worker=wid, error=str(exc))
-                continue
-            if response.get("ok"):
-                out[wid] = response
-        return out
+        """``request`` on every live worker's control connection.
 
-    def _fan_out_parallel(
-        self, request: dict, *, timeout: float = 5.0
-    ) -> dict[int, dict]:
-        """Like :meth:`_fan_out`, but concurrently.
-
-        Windowed ``profile`` requests block each worker for the window;
-        running them serially would turn a 5-second profile of 4
-        workers into 20 wall seconds.
+        Returns the ``ok`` replies by worker id; dead, failed and late
+        workers are left out.  The channel locks are taken in worker-id
+        order, so concurrent fan-outs cannot deadlock.  Every worker
+        gets the request before any reply is read, and all replies
+        share one deadline: the workers answer concurrently, so a
+        windowed ``profile_dump`` costs one window of wall time however
+        many workers there are.
         """
+        frame = encode_json_frame(request, max_frame=self.max_frame)
+        deadline = time.monotonic() + timeout
+        held: list[_Control] = []
+        asked: list[tuple[int, _Control]] = []
         out: dict[int, dict] = {}
-        lock = threading.Lock()
-
-        def one(wid: int) -> None:
-            w = self._workers[wid]
-            try:
-                response = self._worker_rpc(w, request, timeout=timeout)
-            except (OSError, ProtocolError) as exc:
-                _log.warning("worker_rpc_failed", worker=wid, error=str(exc))
-                return
-            if response.get("ok"):
-                with lock:
+        try:
+            for wid in sorted(self._alive_ids()):
+                ctl = self._workers[wid].control
+                left = max(0.0, deadline - time.monotonic())
+                if ctl is None or not ctl.lock.acquire(timeout=left):
+                    continue
+                held.append(ctl)
+                try:
+                    ctl.ask(frame, deadline)
+                except OSError as exc:
+                    _log.warning("worker_control_failed", worker=wid, error=str(exc))
+                    continue
+                asked.append((wid, ctl))
+            for wid, ctl in asked:
+                try:
+                    response = ctl.reply(deadline)
+                except (OSError, ProtocolError) as exc:
+                    _log.warning("worker_control_failed", worker=wid, error=str(exc))
+                    continue
+                if response.get("ok"):
                     out[wid] = response
-
-        threads = [
-            threading.Thread(target=one, args=(wid,), daemon=True)
-            for wid in sorted(self._alive_ids())
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout + 1.0)
+        finally:
+            for ctl in held:
+                ctl.lock.release()
         return out
 
     # ------------------------------------------------------------------
@@ -547,30 +522,24 @@ class OracleSupervisor:
         the connection routes blind.
         """
         conn.settimeout(None)
-        buf = conn.recv(_HEADER.size, socket.MSG_PEEK)
+        buf = conn.recv(1, socket.MSG_PEEK)
         if not buf or buf[0] == BIN_MAGIC:
             return None
         deadline = time.monotonic() + self.peek_deadline
-        want = _HEADER.size
         while True:
-            if len(buf) >= want:
-                if want == _HEADER.size:
-                    (length,) = _HEADER.unpack(buf[:_HEADER.size])
-                    if length > _PEEK_CAP:
-                        return None  # giant first frame: route blind
-                    want += length
-                    continue
-                try:
-                    obj = json.loads(buf[_HEADER.size:want].decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    return None
-                return obj if isinstance(obj, dict) else None
-            if time.monotonic() >= deadline:
-                return None
-            conn.settimeout(max(0.01, deadline - time.monotonic()))
             try:
-                more = conn.recv(want, socket.MSG_PEEK)
-            except (TimeoutError, OSError):
+                end, frame = parse_frame(buf, _PEEK_CAP)
+            except ProtocolError:
+                return None  # giant or malformed first frame: route blind
+            if frame is not None:
+                return frame[1]
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return None
+            conn.settimeout(left)
+            try:
+                more = conn.recv(end, socket.MSG_PEEK)
+            except OSError:
                 return None
             if not more:
                 return None
@@ -753,9 +722,9 @@ class OracleSupervisor:
         """
         answers = self._fan_out({"op": "metrics"})
         pages = {
-            wid: resp.get("metrics", "")
+            wid: resp["text"]
             for wid, resp in answers.items()
-            if isinstance(resp.get("metrics"), str)
+            if isinstance(resp.get("text"), str)
         }
         return merge_expositions(pages, own=self._own_metrics())
 
@@ -819,8 +788,9 @@ class OracleSupervisor:
 
         Each worker's stacks come back rooted under ``worker N`` so one
         flamegraph shows the whole tier with per-worker attribution.
-        Workers collect concurrently (:meth:`_fan_out_parallel`) — the
-        wall time is one window, not N.
+        Workers collect concurrently (:meth:`_fan_out` asks every
+        worker before it reads a reply) — the wall time is one window,
+        not N.
         """
         fmt = request.get("format", "collapsed")
         if fmt not in ("collapsed", "svg"):
@@ -831,8 +801,11 @@ class OracleSupervisor:
                 or not 0 <= seconds <= 60:
             return {"ok": False, "code": "bad_request",
                     "error": "'seconds' must be a number in [0, 60]"}
-        rpc = {"op": "profile", "seconds": seconds, "hz": request.get("hz", 0)}
-        answers = self._fan_out_parallel(rpc, timeout=float(seconds) + 10.0)
+        answers = self._fan_out(
+            {"op": "profile_dump", "seconds": seconds, "hz": request.get("hz", 0),
+             "format": "collapsed"},
+            timeout=float(seconds) + 10.0,
+        )
         stacks: dict[str, int] = {}
         reports: dict[str, dict] = {}
         for wid, resp in sorted(answers.items()):
@@ -860,11 +833,11 @@ class OracleSupervisor:
 
     def _merged_history(self, request: dict) -> dict:
         """Per-worker history views + tier-wide rates (summed per key)."""
-        rpc = {"op": "history"}
+        ask = {"op": "history"}
         for field in ("window", "keys"):
             if request.get(field) is not None:
-                rpc[field] = request[field]
-        answers = self._fan_out(rpc)
+                ask[field] = request[field]
+        answers = self._fan_out(ask)
         workers: dict[str, dict] = {}
         rates: dict[str, float] = {}
         interval = None

@@ -55,6 +55,8 @@ def write_trace_file(path, stream, *, timestamps=False) -> Trace:
 def assert_same_tables(mapped, frozen) -> None:
     """Every table equal, *in order* — order feeds determinism."""
     assert isinstance(mapped, MmapGrammar)
+    # the whole mapping compares, not just the rows decoded so far
+    assert not mapped.uses != frozen.uses
     assert list(mapped.bodies) == list(frozen.bodies)
     assert dict(mapped.bodies) == dict(frozen.bodies)
     assert mapped.occ == frozen.occ
@@ -99,21 +101,24 @@ class TestRoundTrip:
         row = grammar.bodies[first_rid]
         assert grammar.decode_stats()["bodies_decoded"] == 1
         assert grammar.bodies[first_rid] is row  # cached, not re-decoded
+        assert grammar.bodies.get(first_rid) is row
         # membership answers without materialising anything new
         assert first_rid in grammar.bodies
         assert 10**9 not in grammar.bodies
+        assert grammar.bodies.get(10**9, ()) == ()
         assert grammar.decode_stats()["bodies_decoded"] == 1
 
     def test_artifact_dir_redirect(self, tmp_path, monkeypatch):
-        art_dir = tmp_path / "artifacts"
-        art_dir.mkdir()
-        monkeypatch.setenv("PYTHIA_ARTIFACT_DIR", str(art_dir))
         path = str(tmp_path / "t.json")
         write_trace_file(path, [0, 1, 0, 1])
-        artifact, outcome = ensure_artifact(path)
-        assert outcome == "compiled"
-        assert os.path.dirname(artifact) == str(art_dir)
-        assert artifact == artifact_path_for(path)
+        (tmp_path / "artifacts").mkdir()
+        # an existing directory, and a nested one nobody created yet
+        for art_dir in (tmp_path / "artifacts", tmp_path / "not" / "yet" / "made"):
+            monkeypatch.setenv("PYTHIA_ARTIFACT_DIR", str(art_dir))
+            artifact, outcome = ensure_artifact(path)
+            assert outcome == "compiled"
+            assert os.path.dirname(artifact) == str(art_dir)
+            assert artifact == artifact_path_for(path)
 
 
 class TestFreshness:

@@ -714,6 +714,17 @@ class TestWorkerCrashUnderSupervisor:
         sock_path = str(tmp_path / "sup.sock")
         sup = OracleSupervisor(sock_path, workers=4, drain_deadline=1.0)
         sup.start()
+        # hold the monitor's respawn of the killed slot until the client
+        # has rebound: a just-spawned process counts as alive, so a fast
+        # respawn could win the race and take the reconnect back home
+        respawn_gate = threading.Event()
+        spawn = sup._spawn_worker
+
+        def gated_spawn(wid: int) -> None:
+            respawn_gate.wait(timeout=30)
+            spawn(wid)
+
+        sup._spawn_worker = gated_spawn
         try:
             local = Pythia(trace_path, mode="predict")
             client = PythiaClient(
@@ -739,6 +750,7 @@ class TestWorkerCrashUnderSupervisor:
             assert not client.degraded
             # the session rebound to a *different, live* worker
             assert client.worker is not None and client.worker != home
+            respawn_gate.set()
             # the monitor respawned the slot: same wid, new pid, alive
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
@@ -758,6 +770,7 @@ class TestWorkerCrashUnderSupervisor:
             assert len(stats["store"]["artifacts"]) == 1
             client.finish()
         finally:
+            respawn_gate.set()
             sup.stop()
 
     def test_new_session_lands_on_respawned_worker(self, tmp_path, trace_path):

@@ -154,6 +154,7 @@ from repro.server.protocol import (  # noqa: E402
     encode_bin_frame,
     encode_bin_prediction,
     encode_json_frame,
+    parse_frame,
     read_frame_any,
 )
 
@@ -236,13 +237,22 @@ class TestBinaryPrediction:
 class TestFrameParser:
     def test_incremental_single_bytes(self):
         parser = FrameParser()
-        frame = encode_json_frame({"op": "ping"})
-        for i in range(len(frame)):
+        body = BIN_REQ.pack(9, 8, 7)
+        for frame, expected in (
+            (encode_json_frame({"op": "ping"}), ("json", {"op": "ping"})),
+            (encode_bin_frame(OP_OBSERVE_PREDICT, 1, body),
+             ("bin", OP_OBSERVE_PREDICT, 1, body)),
+        ):
+            for i in range(len(frame)):
+                assert parser.next_frame() is None
+                # never asks past the frame: a reader cannot over-read
+                end, partial = parse_frame(frame[:i])
+                assert partial is None and i < end <= len(frame)
+                parser.feed(frame[i:i + 1])
+            assert parse_frame(frame + frame) == (len(frame), expected)
+            assert parser.next_frame() == expected
             assert parser.next_frame() is None
-            parser.feed(frame[i:i + 1])
-        assert parser.next_frame() == ("json", {"op": "ping"})
-        assert parser.next_frame() is None
-        assert len(parser) == 0
+            assert len(parser) == 0
 
     def test_mixed_framings_in_one_buffer(self):
         parser = FrameParser()

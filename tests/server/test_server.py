@@ -8,9 +8,11 @@ import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
+from repro.core.mmap_grammar import ensure_artifact
 from repro.core.oracle import Pythia
 from repro.experiments.harness import mpi_record_run
 from repro.obs import metrics as obs_metrics
@@ -86,6 +88,39 @@ class TestParityWithInProcessOracle:
         with PythiaClient(str(tmp_path / "no.pythia"), socket=server.socket_path) as remote:
             with pytest.raises(FileNotFoundError):
                 remote.event("x")
+
+    def test_session_under_a_missing_artifact_dir(
+        self, npb_trace, server, tmp_path, monkeypatch
+    ):
+        """The daemon maps compiled artifacts: a ``PYTHIA_ARTIFACT_DIR``
+        that does not exist yet is created, not reported as a missing
+        trace."""
+        art_dir = tmp_path / "not" / "yet" / "made"
+        monkeypatch.setenv("PYTHIA_ARTIFACT_DIR", str(art_dir))
+        events = npb_event_stream(npb_trace)[:16]
+        local = Pythia(npb_trace, mode="predict")
+        with PythiaClient(npb_trace, socket=server.socket_path) as remote:
+            for name, payload in events:
+                assert remote.event(name, payload) == local.event(name, payload)
+            assert remote.predict(1) == local.predict(1)
+        assert len(list(art_dir.glob("*.pygx"))) == 1
+
+    def test_unwritable_artifact_dir_is_a_named_error(
+        self, npb_trace, server, tmp_path, monkeypatch
+    ):
+        """An artifact that cannot be written answers
+        ``artifact_unwritable``, and the message names the variable that
+        moves artifacts elsewhere."""
+        from repro.server.client import OracleServiceError
+
+        not_a_dir = tmp_path / "a-file"
+        not_a_dir.write_text("")
+        monkeypatch.setenv("PYTHIA_ARTIFACT_DIR", str(not_a_dir / "artifacts"))
+        with PythiaClient(npb_trace, socket=server.socket_path) as remote:
+            with pytest.raises(OracleServiceError) as exc_info:
+                remote.event("x")
+        assert exc_info.value.code == "artifact_unwritable"
+        assert "PYTHIA_ARTIFACT_DIR" in str(exc_info.value)
 
     def test_observe_batch_equals_loop(self, npb_trace, server):
         events = npb_event_stream(npb_trace)[:100]
@@ -371,6 +406,26 @@ class TestMetricsDisabled:
             obs_metrics.set_registry(prev)
         assert stats["counters"]["events_observed"] == len(events)
         assert stats["latency"] == {}
+
+
+class TestSlowOps:
+    def test_profile_window_does_not_hold_up_opens(self, npb_trace, server):
+        """A windowed ``profile_dump`` runs beside session opens, not
+        ahead of them: an open sent mid-window is answered at once."""
+        ensure_artifact(npb_trace)  # the open maps, it does not compile
+        profile = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        profile.connect(server.socket_path)
+        write_frame(profile, {"op": "profile_dump", "seconds": 2})
+        time.sleep(0.3)  # the window is open
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        conn.connect(server.socket_path)
+        t0 = time.monotonic()
+        write_frame(conn, {"op": "open_session", "trace": npb_trace})
+        assert read_frame(conn)["ok"]
+        assert time.monotonic() - t0 < 1.0
+        assert read_frame(profile)["ok"]
+        conn.close()
+        profile.close()
 
 
 class TestServerLifecycle:

@@ -151,13 +151,13 @@ class TestConcurrency:
 
 
 class TestMmapStore:
-    """``use_mmap=True``: bundles carry mapped grammars out of shared
-    compiled artifacts, and the compile happens once per host."""
+    """Bundles carry mapped grammars out of shared compiled artifacts,
+    and the compile happens once per host."""
 
     def test_bundle_grammar_is_mapped(self, trace_path):
         from repro.core.mmap_grammar import MmapGrammar, artifact_path_for
 
-        store = TraceStore(use_mmap=True)
+        store = TraceStore()
         bundle = store.get(trace_path)
         for tt in bundle.trace.threads.values():
             assert isinstance(tt.grammar, MmapGrammar)
@@ -167,15 +167,10 @@ class TestMmapStore:
         assert snap["artifact_reuses"] == 0
         assert snap["artifacts"] == [bundle.artifact]
 
-    def test_json_store_has_no_artifact(self, trace_path):
-        bundle = TraceStore().get(trace_path)
-        assert bundle.artifact is None
-        assert "artifact_compiles" not in TraceStore().snapshot()
-
     def test_second_store_reuses_the_host_artifact(self, trace_path):
         """What N workers on one host do: first compiles, rest map."""
-        first = TraceStore(use_mmap=True)
-        second = TraceStore(use_mmap=True)
+        first = TraceStore()
+        second = TraceStore()
         a = first.get(trace_path)
         b = second.get(trace_path)
         assert a.artifact == b.artifact  # same file mapped by both
@@ -185,7 +180,7 @@ class TestMmapStore:
         assert snap["artifact_reuses"] == 1
 
     def test_rewritten_trace_recompiles(self, trace_path):
-        store = TraceStore(use_mmap=True)
+        store = TraceStore()
         store.get(trace_path)
         record(trace_path, [("x", None)] * 4)
         os.utime(trace_path, ns=(1, 1))
@@ -201,7 +196,7 @@ class TestMmapStore:
         # keep the (valid) header so the freshness probe passes, then
         # truncate the body: the load fails and the store force-recompiles
         open(artifact, "wb").write(blob[: len(blob) - 16])
-        store = TraceStore(use_mmap=True)
+        store = TraceStore()
         bundle = store.get(trace_path)
         assert bundle.artifact == artifact_path_for(trace_path)
         assert store.snapshot()["artifact_compiles"] == 1
@@ -211,7 +206,7 @@ class TestMmapStore:
         """16 threads, cold trace and cold artifact: one parse+compile
         for the host (the rest wait on the store entry or the artifact
         lock), and everyone shares one bundle."""
-        store = TraceStore(use_mmap=True)
+        store = TraceStore()
         bundles = []
         lock = threading.Lock()
         barrier = threading.Barrier(16)

@@ -10,15 +10,25 @@ this module covers the supervisor's steady-state contract:
   exercises the zero-copy load path end to end);
 - admin ops fan out: one ``metrics`` page with a ``worker`` label on
   every sample, one ``sessions`` table tagged by worker, one ``stats``
-  with summed counters and the single shared artifact path.
+  with summed counters and the single shared artifact path;
+- a worker's reply that comes after its fan-out gave up is discarded,
+  never read as the answer to a later control request, and a tier
+  profile window does not hold up the workers' session opens;
+- SIGTERM drains the whole tier, a worker whose supervisor is gone
+  drains and exits, and a failed start names each worker's exit code.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
 
+from repro.core.mmap_grammar import ensure_artifact
 from repro.core.oracle import Pythia
 from repro.obs.metrics import parse_prometheus_text
 from repro.server import OracleSupervisor, PythiaClient
@@ -29,6 +39,7 @@ from tests.server.test_chaos import (
     pred_key,
     raw_connect,
     record_loop_trace,
+    spawn_serve,
 )
 
 
@@ -275,6 +286,109 @@ class TestLifecycle:
             assert admin(sock, {"op": "ping"})["pong"]
             procs = [w.proc for w in sup._workers.values()]
         assert all(p.poll() is not None for p in procs)
-        import os
-
         assert not os.path.exists(sock)
+
+    def test_sigterm_drains_the_tier_and_exits(self, tmp_path):
+        """``serve --workers 2`` under SIGTERM: the shared serve loop
+        drains, the supervisor SIGTERMs its workers, and everything is
+        gone within the drain deadline."""
+        trace_path = str(tmp_path / "ref.pythia")
+        record_loop_trace(trace_path)
+        sock = str(tmp_path / "sup.sock")
+        proc = spawn_serve(sock, "--workers", "2", "--drain-deadline", "2")
+        try:
+            table = admin(sock, {"op": "workers"})["workers"]
+            pids = [row["pid"] for row in table.values()]
+            conn = raw_connect(sock)
+            write_frame(conn, {"op": "open_session", "trace": trace_path})
+            assert read_frame(conn)["ok"]
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+            assert time.monotonic() - t0 < 2.0
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+            conn.close()
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    def test_start_failure_names_each_workers_exit_code(self, tmp_path):
+        """A worker that dies before its first ping is reported with its
+        exit code (a zero-capacity store fails the worker's start)."""
+        sup = OracleSupervisor(str(tmp_path / "sup.sock"), workers=2, cache_size=0)
+        with pytest.raises(RuntimeError) as exc_info:
+            sup.start(ready_timeout=20)
+        message = str(exc_info.value)
+        assert "worker 0 exited with code 1" in message
+        assert "worker 1 exited with code 1" in message
+        assert all(w.proc.poll() is not None for w in sup._workers.values())
+
+    def test_worker_exits_when_its_channels_close(self, tmp_path):
+        """A worker whose supervisor went away drains and exits 0: EOF
+        on its connection channel is the signal."""
+        sock = str(tmp_path / "sup.sock")
+        with OracleSupervisor(sock, workers=1, drain_deadline=1.0) as sup:
+            w = sup._workers[0]
+            proc = w.proc
+            w.close_channels()
+            assert proc.wait(timeout=10) == 0
+
+
+def _stopped(pid: int) -> bool:
+    with open(f"/proc/{pid}/status") as fh:
+        return any(line.split()[:2] == ["State:", "T"] for line in fh)
+
+
+class TestControlConnection:
+    def test_late_replies_do_not_shift_later_answers(self, tmp_path):
+        """Replies a fan-out gave up on are discarded, not read as the
+        answers to the next control requests."""
+        sup = OracleSupervisor(str(tmp_path / "sup.sock"), workers=1,
+                               drain_deadline=1.0)
+        sup.start()
+        pid = sup._workers[0].proc.pid
+        try:
+            os.kill(pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 10
+            while not _stopped(pid):
+                assert time.monotonic() < deadline, "worker never stopped"
+                time.sleep(0.01)
+            assert sup._fan_out({"op": "stats"}, timeout=0.2) == {}
+            os.kill(pid, signal.SIGCONT)
+            answers = sup._fan_out({"op": "sessions"})
+            assert set(answers) == {0}
+            assert "sessions" in answers[0] and "counters" not in answers[0]
+            # a windowed profile that outlives its fan-out
+            window = {"op": "profile_dump", "seconds": 1, "format": "collapsed"}
+            assert sup._fan_out(window, timeout=0.2) == {}
+            answers = sup._fan_out({"op": "stats"})
+            assert set(answers) == {0}
+            assert "counters" in answers[0] and "profile" not in answers[0]
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            sup.stop()
+
+    def test_profile_window_does_not_hold_up_opens(self, tmp_path):
+        """A tier profile runs on each worker beside its session opens:
+        an open routed to a worker mid-window is answered at once."""
+        trace_path = str(tmp_path / "ref.pythia")
+        record_loop_trace(trace_path)
+        ensure_artifact(trace_path)  # the open maps, it does not compile
+        sock = str(tmp_path / "sup.sock")
+        with OracleSupervisor(sock, workers=1, drain_deadline=1.0) as sup:
+            merged: dict = {}
+            window = threading.Thread(target=lambda: merged.update(
+                sup._merged_profile({"seconds": 2, "format": "collapsed"})
+            ))
+            window.start()
+            time.sleep(0.3)  # the worker's window is open
+            conn = raw_connect(sock)
+            t0 = time.monotonic()
+            write_frame(conn, {"op": "open_session", "trace": trace_path})
+            assert read_frame(conn)["ok"]
+            assert time.monotonic() - t0 < 1.0
+            conn.close()
+            window.join(timeout=15)
+            assert set(merged["report"]["workers"]) == {"0"}
