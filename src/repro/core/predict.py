@@ -22,15 +22,37 @@ in the cache is the one the next ``observe`` consumes.  Pass
 ``compiled=False`` for the uncached reference traversal — both paths
 perform identical float operations and produce byte-identical
 predictions and statistics.
+
+The compiled tracker also memoizes its non-deterministic predictions.
+When the deterministic walk does not answer, a prediction is a pure
+function of the tracker state: the candidate items in insertion order
+(they fix the float-sum order and ``max()``'s tie-break), the distance
+and whether an eta is estimated.  :meth:`PythiaPredict.predict` keeps
+each such answer in a per-tracker memo keyed on exactly that and
+simulates only on a miss; a hit is counted and scored like any other
+prediction.  The memo holds at most :data:`_SIM_MEMO_ITEMS` candidate
+items summed over its keys and is cleared when full.  ``explain``,
+``predict_sequence`` and ``compiled=False`` always simulate.  A returned
+:class:`Prediction` may therefore be handed out again: predictions are
+shared value objects that callers must not mutate (``distribution``
+included).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.explain import EventExplanation, Explanation, SourceChain
 from repro.core.frozen import FrozenGrammar
-from repro.core.progress import END, Chain, start_chains, successors, terminal_of
+from repro.core.progress import (
+    END,
+    Chain,
+    start_chains,
+    successors,
+    successors_rel,
+    terminal_of,
+)
 from repro.core.timing import TimingTable
 from repro.obs import metrics as obs_metrics
 from repro.obs.accuracy import AccuracyTracker
@@ -49,7 +71,12 @@ _WATCH_CALM_SKIP = 3
 #: bound on the per-tracker timing-estimate memo (cleared when full)
 _ETA_CACHE_MAX = 16384
 
+#: bound on the per-tracker prediction memo, in candidate items summed
+#: over its stored states (cleared when full)
+_SIM_MEMO_ITEMS = 4096
+
 _MISSING = object()
+_WEIGHT = itemgetter(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,9 +110,18 @@ class PythiaPredict:
     min_weight:
         Candidates below this fraction of total weight are dropped.
     compiled:
-        Use the grammar's shared successor machine (the default).
+        Use the grammar's shared successor machine and memoize
+        non-deterministic predictions per tracker state (the default).
         ``False`` selects the uncached reference traversal, which is
-        byte-identical but recomputes every expansion.
+        byte-identical but recomputes every expansion and prediction.
+
+    ``grammar``, ``timing``, ``max_candidates`` and ``min_weight`` are
+    fixed once the tracker is built: the prediction memo keys on the
+    candidate state alone, so changing any of them afterwards would
+    return answers computed under the old settings.  Returned
+    :class:`Prediction` objects are shared value objects (the memo and
+    the deterministic walk hand the same one out again); callers must
+    not mutate them.
     """
 
     def __init__(
@@ -122,6 +158,14 @@ class PythiaPredict:
         #: reusable Prediction per terminal for the deterministic walk
         #: (predictions are value objects: callers must not mutate them)
         self._det_pred: dict[int, Prediction] = {}
+        #: compiled path only: (candidate items, distance, timed) ->
+        #: the prediction _simulate made for that state; the reference
+        #: path (None) recomputes every query
+        self._sim_memo: dict[tuple, Prediction | None] | None = (
+            {} if compiled else None
+        )
+        #: candidate items summed over the memo's keys (<= _SIM_MEMO_ITEMS)
+        self._sim_memo_items = 0
         #: optional observability hooks (see attach_flight / attach_drift).
         #: The matched fast path never touches them: both are driven from
         #: :meth:`_tick`, whose cadence ``_flush_every`` drops from
@@ -246,16 +290,12 @@ class PythiaPredict:
         if total <= 0.0:
             return {}, 0
         min_weight = self.min_weight
-        items: list[tuple[Chain, float]] = []
-        for c, w in cands.items():
-            q = w / total
-            if q >= min_weight:
-                items.append((c, q))
-        items.sort(key=lambda cw: cw[1], reverse=True)
+        items = [(c, q) for c, w in cands.items() if (q := w / total) >= min_weight]
+        items.sort(key=_WEIGHT, reverse=True)
         if len(items) > self.max_candidates:
             del items[self.max_candidates :]
         dropped = len(cands) - len(items)
-        norm = sum(w for _c, w in items)
+        norm = sum(map(_WEIGHT, items))
         return {c: w / norm for c, w in items}, dropped
 
     def _prune(self, cands: dict[Chain, float]) -> dict[Chain, float]:
@@ -280,16 +320,14 @@ class PythiaPredict:
         the full terminal distribution and, if ``with_time`` and a timing
         table is available, the estimated delay until that event.  Only
         the final step's distribution is materialized — use
-        :meth:`predict_sequence` for every intermediate step.
+        :meth:`predict_sequence` for every intermediate step.  On the
+        compiled path a state this tracker already answered is served
+        from its prediction memo (see the module docstring).
         """
         machine = self.machine
         cands = self.candidates
-        if (
-            machine is not None
-            and len(cands) == 1
-            and distance >= 1
-            and not (with_time and self.timing is not None)
-        ):
+        have_time = with_time and self.timing is not None
+        if machine is not None and len(cands) == 1 and distance >= 1 and not have_time:
             # deterministic walk: an in-sync tracker predicting ahead is
             # `distance` dict lookups.  Each step equals one general
             # simulation step on a weight-1.0 singleton (see _simulate's
@@ -320,10 +358,25 @@ class PythiaPredict:
                         flight.last_distance = distance
                         flight.last_pred = pred
                     return pred
-        preds = self._simulate(distance, with_time=with_time, collect_all=False)
-        if preds is None:
+        # the simulation is a pure function of the candidate items in
+        # order (they fix the float-sum order and max()'s tie-break),
+        # the distance and whether etas are estimated: answer a repeated
+        # state from the memo, counted like any other prediction
+        memo = self._sim_memo
+        key = None
+        pred = _MISSING
+        if memo is not None and cands:
+            key = (tuple(cands.items()), distance, have_time)
+            pred = memo.get(key, _MISSING)
+        if pred is _MISSING:
+            preds = self._simulate(distance, with_time=with_time, collect_all=False)
+            pred = None if preds is None else preds[-1]
+            if key is not None:
+                self._memo_store(key, pred)
+        else:
+            self.predictions += 1
+        if pred is None:
             return None
-        pred = preds[-1]
         self.accuracy.note_prediction(pred.terminal, distance=distance, eta=pred.eta)
         flight = self.flight
         if flight is not None:
@@ -429,6 +482,7 @@ class PythiaPredict:
         if count:
             self.predictions += 1
         machine = self.machine
+        expand = self._expand_reference if machine is None else machine.expand
         # never mutated in place: every step rebinds to a fresh dict
         cands = self.candidates
         out: list[Prediction] = []
@@ -471,14 +525,11 @@ class PythiaPredict:
                 if chain is END or not chain:
                     nxt[END] = nxt.get(END, 0.0) + weight
                     continue
-                succ_list = (
-                    machine.successors(chain, weight)
-                    if machine is not None
-                    else successors(self.grammar, chain, weight)
-                )
-                for succ, w in succ_list:
+                for succ, rw, term in expand(chain):
+                    # the floats progress.successors(fg, chain, weight) makes
+                    w = rw if weight == 1.0 else rw * weight
                     nxt[succ] = nxt.get(succ, 0.0) + w
-                    if have_time and succ is not END and succ:
+                    if have_time and term is not None:
                         dt = self._estimate(succ)
                         if dt is not None:
                             step_dt += w * dt
@@ -493,7 +544,7 @@ class PythiaPredict:
                 for chain, weight in cands.items():
                     t = None if (chain is END or not chain) else terminal_of(self.grammar, chain)
                     dist[t] = dist.get(t, 0.0) + weight
-                best_t, best_w = max(dist.items(), key=lambda kv: kv[1])
+                best_t, best_w = max(dist.items(), key=_WEIGHT)
                 out.append(
                     Prediction(
                         terminal=best_t,
@@ -506,6 +557,27 @@ class PythiaPredict:
             capture["cands"] = cands
             capture["deterministic"] = all_det
         return out
+
+    def _expand_reference(self, chain: Chain):
+        """Uncached twin of :meth:`SuccessorMachine.expand
+        <repro.core.successor.SuccessorMachine.expand>`: the same
+        ``(successor, relative weight, terminal)`` triples, recomputed."""
+        grammar = self.grammar
+        return [
+            (succ, rw, None if succ is END or not succ else terminal_of(grammar, succ))
+            for succ, rw in successors_rel(grammar, chain)
+        ]
+
+    def _memo_store(self, key: tuple, pred: Prediction | None) -> None:
+        """Keep one simulation result within the memo's item budget."""
+        size = len(key[0])
+        if size > _SIM_MEMO_ITEMS:
+            return
+        if self._sim_memo_items + size > _SIM_MEMO_ITEMS:
+            self._sim_memo.clear()
+            self._sim_memo_items = 0
+        self._sim_memo[key] = pred
+        self._sim_memo_items += size
 
     def _estimate(self, chain: Chain) -> float | None:
         """Memoized ``timing.estimate`` (the table is immutable)."""

@@ -150,13 +150,6 @@ class SuccessorMachine:
                 self._det[key] = (rel[0][0], rel[0][2])
         return rel
 
-    def successors(self, chain: Chain, weight: float = 1.0) -> list[tuple[Chain, float]]:
-        """Drop-in for :func:`repro.core.progress.successors` (memoized)."""
-        rel = self.expand(chain)
-        if weight == 1.0:
-            return [(c, w) for c, w, _t in rel]
-        return [(c, w * weight) for c, w, _t in rel]
-
     def deterministic_next(self, chain: Chain) -> tuple[Chain, int] | None:
         """``(next chain, its terminal)`` when the step is deterministic.
 

@@ -11,10 +11,14 @@ mid-stream attach, unexpected events, unknown events and resyncs.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import repro.core.predict as predict_module
 from repro.core.predict import PythiaPredict
 from repro.core.timing import TimingTable
+from repro.obs.flight import FlightRecorder
 from tests.conftest import freeze, random_structured_stream
 
 SEEDS = [1, 2, 3, 5, 8, 13, 21, 42]
@@ -292,3 +296,140 @@ class TestMmapEquivalence:
         from_mmap = PythiaPredict(mmap_tt.grammar, compiled=False)
         _drive(from_mmap, from_json, stream)
         assert from_mmap.stats() == from_json.stats()
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def _assert_same_prediction(got, want):
+    """``==`` (distribution included) plus the probability and eta bits."""
+    assert got == want
+    if got is not None:
+        assert _bits(got.probability) == _bits(want.probability)
+        assert _bits(got.eta) == _bits(want.eta)
+
+
+def _memo_items(tracker):
+    return sum(len(items) for items, _distance, _timed in tracker._sim_memo)
+
+
+class TestPredictionMemo:
+    """The compiled tracker answers a repeated non-deterministic state
+    from its per-tracker memo; the reference tracker simulates every
+    query.  Repeated queries must stay byte-identical, counted and
+    scored, and the memo must stay inside its item budget."""
+
+    @staticmethod
+    def _scenario(name, seed):
+        """(compiled, reference, events, with_time); ``None`` events are unknown."""
+        stream = random_structured_stream(seed, alphabet=4 if name == "noise" else 5)
+        fg = freeze(stream)
+        kw = {}
+        timing = None
+        events = list(stream)
+        if name == "attach":
+            events = events[len(events) // 2 :]
+        elif name == "noise":
+            # out-of-order terminals, a terminal the grammar never saw
+            # and events absent from the registry (observe_unknown),
+            # spliced into the reference stream
+            rng = random.Random(seed)
+            for _ in range(max(2, len(events) // 25)):
+                events.insert(rng.randrange(len(events)), rng.randrange(4))
+            events.insert(len(events) // 3, 4)
+            for _ in range(3):
+                events.insert(rng.randrange(len(events)), None)
+        elif name == "cap2":
+            kw["max_candidates"] = 2
+            events = events[len(events) // 3 :]
+        elif name == "timed":
+            timing = TimingTable.from_replay(fg, [float(i) * 0.5 for i in range(len(stream))])
+            events = events[len(events) // 4 :]
+        compiled, reference = _pair(fg, timing, **kw)
+        return compiled, reference, events, name == "timed"
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    @pytest.mark.parametrize("name", ["attach", "noise", "cap2", "timed"])
+    def test_repeated_queries_are_byte_identical(self, name, seed):
+        compiled, reference, events, with_time = self._scenario(name, seed)
+        compiled.attach_flight(FlightRecorder())
+        nondet = 0
+        for i, terminal in enumerate(events):
+            now = float(i)
+            if terminal is None:
+                got = compiled.observe_unknown(now=now)
+                assert got == reference.observe_unknown(now=now)
+            else:
+                got = compiled.observe(terminal, now=now)
+                assert got == reference.observe(terminal, now=now)
+            if i % 3:
+                continue
+            for distance in (1, 16):
+                for _ in range(3):  # the same question three times in a row
+                    pred = compiled.predict(distance, with_time=with_time)
+                    _assert_same_prediction(
+                        pred, reference.predict(distance, with_time=with_time)
+                    )
+                    if pred is None:
+                        assert compiled.explain(distance, with_time=with_time) is None
+                        continue
+                    assert compiled.flight.last_pred is pred
+                    assert compiled.flight.last_distance == distance
+                    if pred is not compiled._det_pred.get(pred.terminal):
+                        nondet += 1  # answered by the memo or a simulation
+                    expl = compiled.explain(distance, with_time=with_time)
+                    assert expl.events[0].terminal == pred.terminal
+                    assert _bits(expl.events[0].probability) == _bits(pred.probability)
+                    assert _bits(expl.eta) == _bits(pred.eta)
+        assert compiled.predictions == reference.predictions
+        assert compiled.stats() == reference.stats()
+        # the memo was hit: far fewer stored states than queries reaching it
+        assert 0 < len(compiled._sim_memo) < nondet
+        assert compiled._sim_memo_items == _memo_items(compiled)
+        assert reference._sim_memo is None
+
+    def test_memo_key_keeps_candidate_order(self):
+        """The same candidates in another order are another state: the
+        order fixes the float sums and max()'s tie-break."""
+        fg = freeze([0, 1, 2, 0, 3])
+        compiled, reference = _pair(fg)
+        for tracker in (compiled, reference):
+            tracker.observe(0)  # attach: two equally weighted occurrences
+        assert len(compiled.candidates) == 2
+        first = compiled.predict(1)
+        assert first.probability == 0.5
+        for tracker in (compiled, reference):
+            tracker.candidates = dict(reversed(tracker.candidates.items()))
+        flipped = compiled.predict(1)
+        _assert_same_prediction(flipped, reference.predict(1))
+        assert flipped.terminal != first.terminal
+        assert len(compiled._sim_memo) == 2
+
+    def test_memo_stays_inside_its_budget(self, monkeypatch):
+        budget = 6
+        monkeypatch.setattr(predict_module, "_SIM_MEMO_ITEMS", budget)
+        stream = [t for k in range(4) for t in random_structured_stream(60 + k, alphabet=6)]
+        fg = freeze(stream)
+        compiled, reference = _pair(fg)
+        rng = random.Random(6)
+        alphabet = sorted(set(stream))
+        # restart-heavy: every third event is out of order
+        events = [rng.choice(alphabet) if i % 3 == 0 else t for i, t in enumerate(stream)]
+        states = set()
+        for terminal in events:
+            assert compiled.observe(terminal) == reference.observe(terminal)
+            for distance in (1, 2, 5):
+                key = (tuple(compiled.candidates.items()), distance)
+                for _ in range(2):
+                    pred = compiled.predict(distance)
+                    _assert_same_prediction(pred, reference.predict(distance))
+                    assert _memo_items(compiled) == compiled._sim_memo_items <= budget
+                if pred is not None and pred is not compiled._det_pred.get(pred.terminal):
+                    states.add(key)
+        assert compiled.stats() == reference.stats()
+        # many times more distinct states went through than the budget
+        # holds, and some were larger than the whole budget
+        assert sum(len(items) for items, _d in states) > 10 * budget
+        assert max(len(items) for items, _d in states) > budget
+        assert len(compiled._sim_memo) < len(states)

@@ -16,6 +16,11 @@ from repro.core.successor import DEFAULT_MAX_ENTRIES, SuccessorMachine
 from tests.conftest import freeze, random_structured_stream
 
 
+def _scaled(machine, chain, weight=1.0):
+    """The expansion scaled to ``weight`` as the tracker scales it."""
+    return [(c, rw if weight == 1.0 else rw * weight) for c, rw, _t in machine.expand(chain)]
+
+
 def _walk_chains(fg, limit=200):
     """Every chain reachable from the initial chain (BFS, bounded)."""
     seen = []
@@ -38,7 +43,7 @@ class TestMemoization:
         machine = SuccessorMachine(fig1_frozen)
         for chain in _walk_chains(fig1_frozen):
             ref = successors(fig1_frozen, chain)
-            got = machine.successors(chain)
+            got = _scaled(machine, chain)
             assert got == ref  # exact floats, not approx
 
     def test_repeat_lookup_hits_and_is_interned(self, fig1_frozen):
@@ -76,9 +81,7 @@ class TestMemoization:
         machine = SuccessorMachine(fig1_frozen)
         chain = initial_chain(fig1_frozen)
         for weight in (1.0, 0.5, 1.0 / 3.0, 0.7071067811865476):
-            assert machine.successors(chain, weight) == successors(
-                fig1_frozen, chain, weight
-            )
+            assert _scaled(machine, chain, weight) == successors(fig1_frozen, chain, weight)
 
 
 class TestDeterministicTable:
@@ -117,7 +120,7 @@ class TestBoundedMemory:
         assert machine.evictions > 0
         # evicted chains still answer correctly (recomputed on miss)
         for chain in _walk_chains(fg, limit=100):
-            assert machine.successors(chain) == successors(fg, chain)
+            assert _scaled(machine, chain) == successors(fg, chain)
 
     def test_det_table_follows_memo_eviction(self):
         fg = freeze(random_structured_stream(11, max_len=300))
