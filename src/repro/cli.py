@@ -216,6 +216,7 @@ def _cmd_top(args) -> int:
 def _cmd_analyze(args) -> int:
     import json
 
+    from repro.obs import journal
     from repro.obs.analysis import TraceTable
 
     try:
@@ -224,27 +225,23 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.merge:
-        merged = {
-            "traceEvents": [
-                {
-                    "name": row.get("name"),
-                    "ph": row.get("ph") or "X",
-                    "ts": row.get("ts"),
-                    "dur": row.get("dur"),
-                    "pid": row.get("pid") or 0,
-                    "tid": row.get("tid") or 0,
-                    "args": {
-                        k: v for k, v in row.items()
-                        if k not in ("name", "ph", "ts", "dur", "pid", "tid")
-                        and v is not None
-                    },
-                }
-                for row in table
-            ],
-            "displayTimeUnit": "ms",
-        }
-        with open(args.merge, "w", encoding="utf-8") as fh:
-            json.dump(merged, fh, indent=1)
+        events = [
+            {
+                "name": row.get("name"),
+                "ph": row.get("ph") or "X",
+                "ts": row.get("ts"),
+                "dur": row.get("dur"),
+                "pid": row.get("pid") or 0,
+                "tid": row.get("tid") or 0,
+                "args": {
+                    k: v for k, v in row.items()
+                    if k not in ("name", "ph", "ts", "dur", "pid", "tid")
+                    and v is not None
+                },
+            }
+            for row in table
+        ]
+        journal.dump(args.merge, journal.chrome_trace(events, {}))
         print(f"merged {len(table)} events from {len(args.files)} file(s) "
               f"-> {args.merge}")
     report = table.report()
@@ -355,39 +352,31 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_flight(args) -> int:
-    import json
+    from repro.obs import journal
 
     oracle, _name_of, close = _primed_session(args)
     try:
         if hasattr(oracle, "flight_dump"):  # daemon client
             dump = oracle.flight_dump(thread=args.thread, format=args.format)
             drift = dump.get("drift") or {}
-            if args.format == "chrome":
-                payload = json.dumps(dump.get("trace") or {}, indent=1)
-            else:
-                entries = dump.get("entries") or []
-                payload = "".join(
-                    json.dumps(e, sort_keys=True) + "\n" for e in entries
-                )
+            obj = dump.get("trace" if args.format == "chrome" else "entries")
         else:  # in-process facade
-            pred = oracle._predictor(args.thread)
+            flight = oracle._predictor(args.thread).flight
             drift = oracle.drift_report()
-            if args.format == "chrome":
-                trace_obj = (
-                    pred.flight.to_chrome_trace() if pred.flight is not None else {}
-                )
-                payload = json.dumps(trace_obj, indent=1)
-            else:
-                payload = pred.flight.to_jsonl() if pred.flight is not None else ""
+            obj = None
+            if flight is not None:
+                chrome = args.format == "chrome"
+                obj = flight.to_chrome_trace() if chrome else flight.entries()
     finally:
         close()
+    if obj is None:
+        obj = {} if args.format == "chrome" else []
     if args.output == "-":
-        sys.stdout.write(payload)
+        sys.stdout.write(journal.render(obj))
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        lines = payload.count("\n") if args.format == "jsonl" else None
-        what = f"{lines} journal entries" if lines is not None else "chrome trace"
+        journal.dump(args.output, obj)
+        what = (f"{len(obj)} journal entries" if args.format == "jsonl"
+                else "chrome trace")
         print(f"{what} -> {args.output}")
     if drift:
         print(f"drift state: {drift.get('state', 'ok')} "

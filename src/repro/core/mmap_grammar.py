@@ -42,7 +42,8 @@ from repro.core.events import EventRegistry
 from repro.core.frozen import FrozenGrammar
 from repro.core.record import ThreadTrace
 from repro.core.timing import TimingTable
-from repro.core.trace_file import Trace, TraceFormatError, _fsync_dir, load_trace
+from repro.core.trace_file import Trace, TraceFormatError, load_trace
+from repro.obs.journal import write_atomic
 
 try:  # POSIX advisory locking; absent on some platforms
     import fcntl
@@ -281,20 +282,7 @@ def write_artifact(
         )
         body.extend(timing_blob)
         body.extend(section)
-    tmp = f"{artifact_path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, artifact_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(os.path.dirname(artifact_path))
+    write_atomic(artifact_path, body, durable=True)
 
 
 def compile_artifact(

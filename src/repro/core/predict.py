@@ -285,8 +285,15 @@ class PythiaPredict:
         return False
 
     def _prune_impl(self, cands: dict[Chain, float]) -> tuple[dict[Chain, float], int]:
-        """One-pass normalize / filter / cap; returns (kept, dropped)."""
-        total = sum(cands.values())
+        """One-pass normalize / filter / cap; returns (kept, dropped).
+
+        Both sums add left to right in plain floats: ``sum()`` of floats
+        compensates since Python 3.12, which would make the answer bits
+        depend on the interpreter version.
+        """
+        total = 0.0
+        for w in cands.values():
+            total += w
         if total <= 0.0:
             return {}, 0
         min_weight = self.min_weight
@@ -295,7 +302,9 @@ class PythiaPredict:
         if len(items) > self.max_candidates:
             del items[self.max_candidates :]
         dropped = len(cands) - len(items)
-        norm = sum(map(_WEIGHT, items))
+        norm = 0.0
+        for _c, q in items:
+            norm += q
         return {c: w / norm for c, w in items}, dropped
 
     def _prune(self, cands: dict[Chain, float]) -> dict[Chain, float]:

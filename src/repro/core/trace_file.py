@@ -27,6 +27,7 @@ from repro.core.events import EventRegistry
 from repro.core.frozen import FrozenGrammar
 from repro.core.record import ThreadTrace
 from repro.core.timing import TimingTable
+from repro.obs.journal import write_atomic
 
 FORMAT_VERSION = 1
 
@@ -148,20 +149,6 @@ def _open(path: str | os.PathLike, mode: str, *, gz: bool) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-def _fsync_dir(dirname: str) -> None:
-    """Flush a directory entry to disk (no-op where unsupported)."""
-    try:
-        fd = os.open(dirname or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass  # some filesystems refuse fsync on directories
-    finally:
-        os.close(fd)
-
-
 def save_trace(trace: Trace, path: str | os.PathLike) -> None:
     """Serialize ``trace`` to ``path``, atomically and durably.
 
@@ -178,20 +165,7 @@ def save_trace(trace: Trace, path: str | os.PathLike) -> None:
     body = json.dumps(trace.to_obj(), separators=(",", ":")).encode("utf-8")
     if path.endswith(".gz"):
         body = gzip.compress(body)
-    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(body)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(os.path.dirname(path))
+    write_atomic(path, body, durable=True)
 
 
 def load_trace(path: str | os.PathLike) -> Trace:

@@ -19,6 +19,9 @@ Four independent, dependency-free pieces:
   journaling recent events/predictions/outcomes (``PYTHIA_FLIGHT_DIR``);
 - :mod:`repro.obs.sessions` — the daemon's bounded per-client-session
   telemetry table (LRU, evictions prune the labeled metric series);
+- :mod:`repro.obs.journal` — the journal formats (JSON Lines, Chrome
+  trace), the staged atomic write every dump goes through, and the
+  format-sniffing read-back;
 - :mod:`repro.obs.analysis` — offline trace analysis: span dumps and
   flight journals merged into a columnar :class:`TraceTable` with
   filter/groupby/percentile and wire/queue/handler decomposition

@@ -3,9 +3,10 @@
 The tracing layer leaves artifacts on disk — Chrome-trace span dumps
 (:meth:`~repro.obs.spans.SpanRecorder.dump`, ``PYTHIA_SPANS_DUMP``)
 and flight-recorder JSONL journals (``PYTHIA_FLIGHT_DIR``).  This
-module loads any mix of them into one columnar :class:`TraceTable`
-(rows sorted by timestamp, one dict per event) with the small
-dataframe-ish verbs that make trace data usable without pandas:
+module loads any mix of them (read back by :func:`repro.obs.journal.
+load`, which tells the two formats apart per file) into one columnar
+:class:`TraceTable` (rows sorted by timestamp, one dict per event) with
+the small dataframe-ish verbs that make trace data usable without pandas:
 ``filter`` / ``groupby`` / ``percentile`` / ``summary`` — plus the
 request-tracing specific ones, ``requests`` (client-side request
 spans), ``critical_path`` (one request's wire/queue/handler
@@ -26,9 +27,10 @@ plus every other span attr / journal field, flattened into the row.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Iterable
+
+from repro.obs import journal
 
 __all__ = ["TraceTable", "load"]
 
@@ -59,13 +61,9 @@ def _rows_from_chrome(obj: dict, source: str) -> list[dict]:
     return rows
 
 
-def _rows_from_jsonl(text: str, source: str) -> list[dict]:
+def _rows_from_jsonl(entries: list, source: str) -> list[dict]:
     rows: list[dict] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        entry = json.loads(line)
+    for entry in entries:
         if not isinstance(entry, dict):
             continue
         row = {
@@ -93,40 +91,17 @@ class TraceTable:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_chrome_trace(cls, obj: dict, *, source: str = "<chrome>") -> "TraceTable":
-        """From a Chrome trace-event object (span or flight dumps)."""
-        return cls(_rows_from_chrome(obj, source))
-
-    @classmethod
-    def from_flight_jsonl(cls, text: str, *, source: str = "<jsonl>") -> "TraceTable":
-        """From a flight-recorder JSONL journal."""
-        return cls(_rows_from_jsonl(text, source))
-
-    @classmethod
     def load(cls, *paths: str | os.PathLike) -> "TraceTable":
-        """Load and merge any mix of Chrome-trace JSON and JSONL files.
-
-        The format is sniffed per file: a body whose first non-space
-        byte is ``{`` and that parses as one JSON object is treated as
-        a Chrome trace; anything else as JSON lines.
-        """
+        """Load and merge any mix of Chrome-trace JSON and JSONL files
+        (the format is told apart per file by :func:`repro.obs.journal.load`)."""
         rows: list[dict] = []
         for path in paths:
-            path = os.fspath(path)
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            source = os.path.basename(path)
-            stripped = text.lstrip()
-            obj = None
-            if stripped.startswith("{"):
-                try:
-                    obj = json.loads(text)
-                except json.JSONDecodeError:
-                    obj = None
-            if isinstance(obj, dict) and "traceEvents" in obj:
+            obj = journal.load(path)
+            source = os.path.basename(os.fspath(path))
+            if isinstance(obj, dict):
                 rows.extend(_rows_from_chrome(obj, source))
             else:
-                rows.extend(_rows_from_jsonl(text, source))
+                rows.extend(_rows_from_jsonl(obj, source))
         return cls(rows)
 
     # -- the dataframe-ish verbs ----------------------------------------

@@ -337,7 +337,7 @@ class DriftMonitor:
             flight.state = new
             flight.state_code = STATE_CODES[new]
             flight.mark_transition(old, new, snapshot)
-            flight.auto_dump()
+            flight.dump()
         for callback in self.callbacks:
             try:
                 callback(old, new, snapshot)

@@ -17,24 +17,26 @@ that, cheap enough to leave on in production:
   event;
 - **drift transitions** are journaled by the
   :class:`~repro.obs.drift.DriftMonitor` with a full signal snapshot,
-  and trigger :meth:`FlightRecorder.auto_dump`.
+  and trigger :meth:`FlightRecorder.dump`.
 
 The journal exports as JSONL (:meth:`to_jsonl`) and as a Chrome-trace
 object (:meth:`to_chrome_trace`) loadable in ``chrome://tracing`` /
-Perfetto.  ``PYTHIA_FLIGHT_DIR`` (or ``dump_dir=``) names a directory
-for dumps; live recorders register in a weak set so a dying test run or
-the daemon can :func:`dump_active` every session post-mortem.
+Perfetto, both built by :mod:`repro.obs.journal`.  ``PYTHIA_FLIGHT_DIR``
+(or ``dump_dir=``) names a directory for dumps, which are staged and
+renamed into place; live recorders register in a weak set so a dying
+test run or the daemon can :func:`dump_active` every session
+post-mortem.
 """
 
 from __future__ import annotations
 
 import atexit
 import itertools
-import json
 import os
-import threading
 import weakref
 from time import perf_counter
+
+from repro.obs import journal
 
 __all__ = ["FlightRecorder", "active_recorders", "dump_active"]
 
@@ -46,7 +48,6 @@ FLIGHT_DIR_ENV = "PYTHIA_FLIGHT_DIR"
 
 _ACTIVE: weakref.WeakSet = weakref.WeakSet()
 _IDS = itertools.count(1)
-_DUMP_LOCK = threading.Lock()
 
 
 class FlightRecorder:
@@ -295,7 +296,7 @@ class FlightRecorder:
 
     def to_jsonl(self) -> str:
         """The journal as JSON Lines (one entry per line)."""
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.entries())
+        return journal.to_jsonl(self.entries())
 
     def to_chrome_trace(self) -> dict:
         """The journal as a Chrome-trace object (instant events).
@@ -306,15 +307,7 @@ class FlightRecorder:
         """
         pid = os.getpid()
         tid = self._tid
-        events: list[dict] = [
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": f"flight:{self.session}"},
-            }
-        ]
+        events: list[dict] = []
         for entry in self.entries():
             kind = entry["kind"]
             if kind == "run":
@@ -336,20 +329,11 @@ class FlightRecorder:
                     "args": entry,
                 }
             )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return journal.chrome_trace(events, {(pid, tid): f"flight:{self.session}"})
 
     # ------------------------------------------------------------------
     # dumping
     # ------------------------------------------------------------------
-
-    def _default_path(self) -> str | None:
-        directory = self.dump_dir or os.environ.get(FLIGHT_DIR_ENV)
-        if not directory:
-            return None
-        safe = "".join(
-            c if c.isalnum() or c in "-_." else "_" for c in self.session
-        ) or "pythia"
-        return os.path.join(directory, f"flight-{safe}.jsonl")
 
     def dump(self, path: str | os.PathLike | None = None) -> str | None:
         """Write the journal as JSONL; returns the path written.
@@ -357,26 +341,24 @@ class FlightRecorder:
         Without ``path``, writes into ``dump_dir`` /
         ``PYTHIA_FLIGHT_DIR`` (one file per session, overwritten — the
         journal always contains the most recent history); returns
-        ``None`` when no destination is configured.
+        ``None`` when no destination is configured.  The drift monitor
+        calls this on every state transition.
         """
-        target = os.fspath(path) if path is not None else self._default_path()
-        if target is None:
-            return None
-        with _DUMP_LOCK:
-            parent = os.path.dirname(target)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(self.to_jsonl())
+        if path is None:
+            directory = self.dump_dir or os.environ.get(FLIGHT_DIR_ENV)
+            if not directory:
+                return None
+            path = os.path.join(directory, f"flight-{_safe_name(self.session)}.jsonl")
+        target = os.fspath(path)
+        journal.dump(target, self.entries())
         self.dumps += 1
         return target
 
-    def auto_dump(self) -> str | None:
-        """Dump if a destination is configured; silent no-op otherwise.
 
-        Called by the drift monitor on every state transition.
-        """
-        return self.dump()
+def _safe_name(session: str) -> str:
+    """A session name usable as a file-name part."""
+    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in session)
+    return safe or "pythia"
 
 
 def active_recorders() -> list[FlightRecorder]:
@@ -396,14 +378,10 @@ def dump_active(directory: str | os.PathLike | None = None) -> list[str]:
         if not len(rec):
             continue
         if directory is not None:
-            safe = "".join(
-                c if c.isalnum() or c in "-_." else "_" for c in rec.session
-            ) or "pythia"
             # the recorder id keeps same-named sessions from clobbering
             # each other in a shared post-mortem directory
-            path = rec.dump(
-                os.path.join(os.fspath(directory), f"flight-{safe}-{rec._tid}.jsonl")
-            )
+            name = f"flight-{_safe_name(rec.session)}-{rec._tid}.jsonl"
+            path = rec.dump(os.path.join(os.fspath(directory), name))
         else:
             path = rec.dump()
         if path is not None:

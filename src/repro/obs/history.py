@@ -18,9 +18,9 @@ Snapshots flatten each instrument to scalar samples keyed exactly like
 the exposition (``name{k="v"}``); histograms contribute their ``_sum``
 and ``_count`` series so rates over them work too.  The ring also
 ingests *scraped* pages (:meth:`record_page`) so a client-side console
-can keep history for a remote daemon, and persists as JSONL
-(:meth:`dump` / :meth:`load`) for post-mortem joins with
-flight-recorder dumps.
+can keep history for a remote daemon, and persists as JSONL through
+:mod:`repro.obs.journal` (:meth:`dump` / :meth:`load`) for post-mortem
+joins with flight-recorder dumps.
 
 Environment: ``PYTHIA_HISTORY=0`` disables the daemon's ring,
 ``PYTHIA_HISTORY_INTERVAL`` / ``PYTHIA_HISTORY_CAP`` tune it, and
@@ -30,13 +30,13 @@ into on shutdown.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from collections import deque
 from collections.abc import Iterable, Mapping
 
+from repro.obs import journal
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -322,34 +322,25 @@ class MetricsHistory:
             "rates": rates,
         }
 
+    def _rows(self) -> list[dict]:
+        return [{"t": t, "v": values} for t, values in self.entries()]
+
     def to_jsonl(self) -> str:
         """One ``{"t": ..., "v": {...}}`` JSON line per ring entry."""
-        return "".join(
-            json.dumps({"t": t, "v": values}, sort_keys=True) + "\n"
-            for t, values in self.entries()
-        )
+        return journal.to_jsonl(self._rows())
 
     def dump(self, path: str) -> int:
         """Write the ring as JSONL; returns the entry count."""
-        entries = self.entries()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for t, values in entries:
-                fh.write(json.dumps({"t": t, "v": values}, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-        return len(entries)
+        rows = self._rows()
+        journal.dump(path, rows)
+        return len(rows)
 
     @classmethod
     def load(cls, path: str, **kwargs) -> "MetricsHistory":
         """Rebuild a ring from a :meth:`dump` file (post-mortem analysis)."""
         hist = cls(registry=None, **kwargs)
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                hist.record_values(dict(obj["v"]), now=float(obj["t"]))
+        for row in journal.load(path):
+            hist.record_values(dict(row["v"]), now=float(row["t"]))
         return hist
 
 

@@ -24,13 +24,23 @@ protocol:
 Zero dependencies: stdlib ``http.server`` with ``ThreadingHTTPServer``
 (one thread per request, daemon threads) and a per-connection socket
 timeout so slowloris clients are dropped instead of wedging the
-acceptor.  The server is decoupled from the daemon through a small
-*provider* interface (``metrics_text`` / ``readiness`` /
-``sessions_view`` / ``stats_view`` / ``profile_view`` /
-``history_view``) implemented by both :class:`~repro.server.daemon.
+acceptor.  The server is decoupled from the daemon through a two-method
+*provider* interface implemented by both :class:`~repro.server.daemon.
 OracleServer` and :class:`~repro.server.supervisor.OracleSupervisor`
 (which fans out to its workers and merges with ``worker`` labels) —
-``repro.obs`` never imports ``repro.server``.
+``repro.obs`` never imports ``repro.server``:
+
+- ``admin(request) -> reply`` answers one admin op (``metrics``,
+  ``sessions``, ``stats``, ``profile_dump``, ``history``) exactly as
+  the op answers a frame, ``ok`` included; the endpoint only turns the
+  query string into the request (``seconds`` clamped to 60) and the
+  reply into a body;
+- ``readiness() -> (ready, reason)`` backs ``/ready``.
+
+A refused op answers with its ``{"code", "error"}`` as JSON, status 400
+for ``bad_request``, 500 for ``internal`` and 503 for any other code
+(``profiler_off``, ``history_off``, ...): the op was valid, the
+service cannot answer it.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: hard ceiling on one profiling window, so a typo'd ``seconds=`` can't
 #: pin a request thread (and an in-flight slot) for an hour
 MAX_PROFILE_SECONDS = 60.0
+
+#: HTTP status of a refused admin op by its code; any other code is 503
+_REFUSAL_STATUS = {"bad_request": 400, "internal": 500}
 
 _INDEX = """\
 pythia observability endpoint
@@ -193,9 +206,29 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
     def _get_index(self, query) -> None:
         self._reply(200, _INDEX, "text/plain; charset=utf-8", "/")
 
+    def _admin(self, request: dict, route: str) -> dict | None:
+        """The provider's reply to ``request``, or None once its refusal
+        has been answered."""
+        reply = self.server_ref.provider.admin(request)
+        if reply.get("ok"):
+            return reply
+        code = reply.get("code")
+        status = _REFUSAL_STATUS.get(code, 503)
+        self._reply_json({"code": code, "error": reply.get("error")}, route, status)
+        return None
+
+    def _view(self, request: dict, route: str, key: str | None = None) -> None:
+        """Answer ``route`` with the JSON reply to ``request`` (or its
+        ``key`` field)."""
+        reply = self._admin(request, route)
+        if reply is not None:
+            del reply["ok"]
+            self._reply_json(reply if key is None else reply[key], route)
+
     def _get_metrics(self, query) -> None:
-        self._reply(200, self.server_ref.provider.metrics_text(),
-                    PROMETHEUS_CONTENT_TYPE, "/metrics")
+        reply = self._admin({"op": "metrics"}, "/metrics")
+        if reply is not None:
+            self._reply(200, reply["text"], PROMETHEUS_CONTENT_TYPE, "/metrics")
 
     def _get_healthz(self, query) -> None:
         self._reply(200, "ok\n", "text/plain; charset=utf-8", "/healthz")
@@ -206,34 +239,32 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
                     "text/plain; charset=utf-8", "/ready")
 
     def _get_sessions(self, query) -> None:
-        self._reply_json(self.server_ref.provider.sessions_view(), "/sessions.json")
+        self._view({"op": "sessions"}, "/sessions.json")
 
     def _get_stats(self, query) -> None:
-        self._reply_json(self.server_ref.provider.stats_view(), "/stats.json")
+        self._view({"op": "stats"}, "/stats.json")
 
     def _get_profile(self, query) -> None:
         seconds = _float_param(query, "seconds", 0.0)
-        seconds = max(0.0, min(MAX_PROFILE_SECONDS, seconds))
         fmt = (query.get("format") or ["collapsed"])[0]
-        if fmt not in ("collapsed", "svg"):
-            self._reply(400, f"unknown format {fmt!r} (collapsed|svg)\n",
-                        "text/plain; charset=utf-8", "/profile")
-            return
-        hz = _float_param(query, "hz", 0.0)
-        view = self.server_ref.provider.profile_view(seconds, fmt, hz)
-        if fmt == "svg":
-            self._reply(200, view["profile"], "image/svg+xml", "/profile")
-        else:
-            self._reply(200, view["profile"], "text/plain; charset=utf-8",
-                        "/profile")
+        reply = self._admin({
+            "op": "profile_dump",
+            "seconds": max(0.0, min(MAX_PROFILE_SECONDS, seconds)),
+            "format": fmt,
+            "hz": _float_param(query, "hz", 0.0),
+        }, "/profile")
+        if reply is not None:
+            content_type = (
+                "image/svg+xml" if fmt == "svg" else "text/plain; charset=utf-8"
+            )
+            self._reply(200, reply["profile"], content_type, "/profile")
 
     def _get_history(self, query) -> None:
         window = _float_param(query, "window", 0.0) or None
         keys_raw = (query.get("keys") or [""])[0]
         keys = [k for k in keys_raw.split(",") if k] or None
-        self._reply_json(
-            self.server_ref.provider.history_view(window, keys), "/history.json"
-        )
+        self._view({"op": "history", "window": window, "keys": keys},
+                   "/history.json", "history")
 
     _ROUTES = {
         "/": _get_index,

@@ -103,10 +103,6 @@ class StructuredLogger:
         """Log at ERROR."""
         self._log(logging.ERROR, event, fields)
 
-    def is_enabled_for(self, level_name: str) -> bool:
-        """True when records at ``level_name`` would be emitted."""
-        return self._logger.isEnabledFor(_LEVELS[level_name.lower()])
-
 
 def parse_spec(spec: str) -> tuple[int, str]:
     """Parse a ``PYTHIA_LOG`` spec into ``(level, fmt)``.

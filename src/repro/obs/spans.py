@@ -14,19 +14,21 @@ no-op context manager, so leaving ``with span(...)`` on a hot stage is
 free until someone turns recording on (``PYTHIA_SPANS=1``, the CLI's
 ``pythia-trace spans``, or :func:`enable_spans`).
 
-The export is the Chrome trace-event format: complete events (``ph:
-"X"``) with microsecond timestamps, one row per thread.
+The export is the Chrome trace-event format (built by
+:mod:`repro.obs.journal`): complete events (``ph: "X"``) with
+microsecond timestamps, one row per thread.
 """
 
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from repro.obs import journal
 
 __all__ = [
     "Span",
@@ -88,22 +90,7 @@ class SpanRecorder:
         finally:
             duration = time.perf_counter() - t0
             self._local.depth = depth
-            thread = threading.current_thread()
-            sp = Span(
-                name=name,
-                start=t0 - self._epoch,
-                duration=duration,
-                thread_id=thread.ident or 0,
-                thread_name=thread.name,
-                depth=depth,
-                attrs=attrs,
-                pid=os.getpid(),
-            )
-            with self._lock:
-                if len(self._spans) < self.max_spans:
-                    self._spans.append(sp)
-                else:
-                    self._dropped += 1
+            self.emit(name, t0, duration, depth=depth, **attrs)
 
     def emit(
         self,
@@ -201,22 +188,12 @@ class SpanRecorder:
                 }
             )
         events.sort(key=lambda e: e["ts"])
-        meta = [
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": name},
-            }
-            for (pid, tid), name in sorted(threads.items())
-        ]
-        return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+        return journal.chrome_trace(events, threads)
 
     def dump(self, path: str | os.PathLike) -> None:
-        """Write :meth:`to_chrome_trace` to ``path`` as JSON."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome_trace(), fh, indent=1)
+        """Write :meth:`to_chrome_trace` to ``path`` as JSON (staged and
+        renamed into place)."""
+        journal.dump(path, self.to_chrome_trace())
 
 
 # ----------------------------------------------------------------------
@@ -297,9 +274,6 @@ def _atexit_dump() -> None:
     if rec is None or not target or not len(rec):
         return
     try:
-        parent = os.path.dirname(target)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         rec.dump(target)
     except OSError:
         pass  # exit paths must never raise

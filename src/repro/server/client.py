@@ -888,7 +888,7 @@ class PythiaClient:
         if self._fallback_oracle is None:
             self._fallback_oracle = _LostOracle()
         self._flight.note("fallback", mode=mode, cause=str(cause or ""))
-        self._flight.auto_dump()
+        self._flight.dump()
         _log.warning(
             "degraded_mode", mode=mode, trace=self.trace_path,
             cause=str(cause or ""),

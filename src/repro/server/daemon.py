@@ -234,6 +234,61 @@ class RequestError(Exception):
         self.code = code
 
 
+#: exact exception types with an error code of their own (see _error_of)
+_ERROR_CODES = {
+    FileNotFoundError: "trace_not_found",
+    TraceFormatError: "trace_format",
+    ArtifactWriteError: "artifact_unwritable",
+    KeyError: "no_such_thread",
+}
+
+
+def _error_of(exc: Exception) -> tuple[str, str]:
+    """A handler's exception as the ``(code, message)`` of its error reply."""
+    if isinstance(exc, RequestError):
+        return exc.code, str(exc)
+    if isinstance(exc, (FileNotFoundError, TraceFormatError, ArtifactWriteError,
+                        KeyError, ValueError, TypeError)):
+        code = _ERROR_CODES.get(type(exc), "bad_request")
+        if isinstance(exc, KeyError) and exc.args:
+            return code, str(exc.args[0])  # KeyError reprs its message
+        return code, str(exc)
+    return "internal", f"{type(exc).__name__}: {exc}"
+
+
+def profile_args(request: dict) -> tuple[str, float, float]:
+    """``profile_dump``'s ``(format, seconds, hz)``, checked the same way
+    by the daemon and the supervisor."""
+    fmt = request.get("format", "collapsed")
+    if fmt not in ("collapsed", "svg"):
+        raise RequestError("bad_request", "'format' must be 'collapsed' or 'svg'")
+    seconds = request.get("seconds", 0)
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
+            or not 0 <= seconds <= 60:
+        raise RequestError("bad_request", "'seconds' must be a number in [0, 60]")
+    hz = request.get("hz", 0)
+    if isinstance(hz, bool) or not isinstance(hz, (int, float)) or hz < 0:
+        raise RequestError("bad_request", "'hz' must be a number >= 0")
+    return fmt, seconds, hz
+
+
+def history_args(request: dict) -> tuple[float | None, list[str] | None]:
+    """``history``'s ``(window, keys)``, checked the same way by the
+    daemon and the supervisor."""
+    window = request.get("window")
+    if window is not None and (
+        isinstance(window, bool) or not isinstance(window, (int, float))
+        or window <= 0
+    ):
+        raise RequestError("bad_request", "'window' must be a number > 0")
+    keys = request.get("keys")
+    if keys is not None and not (
+        isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+    ):
+        raise RequestError("bad_request", "'keys' must be a list of strings")
+    return window, keys
+
+
 @dataclass(slots=True)
 class _Session:
     """One client-visible tracking session."""
@@ -475,7 +530,6 @@ class OracleServer:
                 tag = f"w{self.worker_id}" if self.worker_id is not None else "daemon"
                 path = os.path.join(dump_dir, f"history-{tag}-{os.getpid()}.jsonl")
                 try:
-                    os.makedirs(dump_dir, exist_ok=True)
                     self.history.dump(path)
                 except OSError:
                     pass  # post-mortem aid only; never blocks shutdown
@@ -648,21 +702,8 @@ class OracleServer:
                 with obs_profiler.tag_op(op):
                     response = handler(self, request, conn_id)
             error = None
-        except RequestError as exc:
-            error = (exc.code, str(exc))
-        except (FileNotFoundError, TraceFormatError, ArtifactWriteError, KeyError,
-                ValueError, TypeError) as exc:
-            code = {
-                FileNotFoundError: "trace_not_found",
-                TraceFormatError: "trace_format",
-                ArtifactWriteError: "artifact_unwritable",
-                KeyError: "no_such_thread",
-            }.get(type(exc), "bad_request")
-            # KeyError reprs its message; unwrap just that one
-            error = (code, str(exc.args[0]) if isinstance(exc, KeyError) and exc.args
-                     else str(exc))
-        except Exception as exc:  # defensive: never leak an exception
-            error = ("internal", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # never leak an exception
+            error = _error_of(exc)
         handler_s = time.perf_counter() - t0
         # bucket unknown ops together: op names are client-controlled
         # and must not grow the latency table without bound
@@ -1135,16 +1176,7 @@ class OracleServer:
         view.  Capped at 60 s — the window holds a thread of its own
         (see :mod:`repro.server.eventloop`).
         """
-        fmt = request.get("format", "collapsed")
-        if fmt not in ("collapsed", "svg"):
-            raise RequestError("bad_request", "'format' must be 'collapsed' or 'svg'")
-        seconds = request.get("seconds", 0)
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
-                or not 0 <= seconds <= 60:
-            raise RequestError("bad_request", "'seconds' must be a number in [0, 60]")
-        hz = request.get("hz", 0)
-        if isinstance(hz, bool) or not isinstance(hz, (int, float)) or hz < 0:
-            raise RequestError("bad_request", "'hz' must be a number >= 0")
+        fmt, seconds, hz = profile_args(request)
         prof = obs_profiler.get_profiler()
         if seconds > 0:
             stacks, report = obs_profiler.profile_window(
@@ -1175,26 +1207,29 @@ class OracleServer:
             raise RequestError(
                 "history_off", "metrics history is disabled (PYTHIA_HISTORY=0)"
             )
-        window = request.get("window")
-        if window is not None and (
-            isinstance(window, bool) or not isinstance(window, (int, float))
-            or window <= 0
-        ):
-            raise RequestError("bad_request", "'window' must be a number > 0")
-        keys = request.get("keys")
-        if keys is not None and not (
-            isinstance(keys, list) and all(isinstance(k, str) for k in keys)
-        ):
-            raise RequestError("bad_request", "'keys' must be a list of strings")
+        window, keys = history_args(request)
         return {"history": hist.view(keys, window)}
 
     # ------------------------------------------------------------------
     # HTTP observability provider (the obs.httpd duck interface)
     # ------------------------------------------------------------------
 
-    def metrics_text(self) -> str:
-        """The ``/metrics`` page (same exposition as the ``metrics`` op)."""
-        return render_prometheus(obs_metrics.get_registry())
+    def admin(self, request: dict) -> dict:
+        """Answer one admin request with its reply, ``ok`` included.
+
+        Runs the :attr:`_HANDLERS` entry as :meth:`dispatch` would, but
+        without its request accounting, so an HTTP scrape does not count
+        as a request.
+        """
+        op = request.get("op")
+        try:
+            handler = self._HANDLERS.get(op)
+            if handler is None:
+                raise RequestError("unknown_op", f"unknown request op {op!r}")
+            return {"ok": True, **handler(self, request, 0)}
+        except Exception as exc:
+            code, message = _error_of(exc)
+            return {"ok": False, "code": code, "error": message}
 
     def readiness(self) -> tuple[bool, str]:
         """``/ready``: False (503) while draining or stopped."""
@@ -1203,22 +1238,6 @@ class OracleServer:
         if not self._running.is_set():
             return False, "stopped"
         return True, "ready"
-
-    def sessions_view(self) -> dict:
-        return self._op_sessions({}, 0)
-
-    def stats_view(self) -> dict:
-        return self._op_stats({}, 0)
-
-    def profile_view(self, seconds: float, fmt: str, hz: float = 0.0) -> dict:
-        return self._op_profile_dump(
-            {"seconds": seconds, "format": fmt, "hz": hz}, 0
-        )
-
-    def history_view(self, window_s: float | None, keys: list[str] | None) -> dict:
-        if self.history is None:
-            return {"error": "history_off"}
-        return self.history.view(keys, window_s)
 
     def _collect_metrics(self, registry: obs_metrics.MetricsRegistry) -> None:
         """Scrape-time collector: daemon counters, store and live trackers."""

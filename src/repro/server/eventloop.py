@@ -19,14 +19,16 @@ thread:
 - fast ops dispatch inline on the loop thread — the tracker work behind
   ``observe_predict`` is microseconds, far below the cost of a thread
   handoff;
-- ops that may block for real time are offloaded: ``open_session``
-  (it may compile a trace) queues on a sidecar thread, and
-  ``profile_dump`` (it may sample a window of up to a minute) gets a
-  thread of its own, so a profile window never holds up the session
-  opens queued behind it.  While one is in flight the connection's
-  parser is paused (its ``busy`` flag), so replies stay in request
-  order — the ordering the implicit-rid tracing scheme and pipelined
-  clients both rely on;
+- ops that may block for real time — ``open_session`` (it may compile
+  a trace) and ``profile_dump`` (it may sample a window of up to a
+  minute) — each run on a thread of their own, so neither holds up the
+  loop, a profile window, or another connection's open.  Opens of one
+  trace that overlap rely on the trace store's stampede handling (one
+  load per path).  While one is in flight the connection's parser is
+  paused (its ``busy`` flag), so replies stay in request order — the
+  ordering the implicit-rid tracing scheme and pipelined clients both
+  rely on; :meth:`ConnectionLoop.stop` waits up to 5 s for those still
+  running;
 - replies are buffered and flushed as the socket allows; the loop
   registers for writability only while a buffer is non-empty
   (backpressure without threads);
@@ -38,7 +40,6 @@ thread:
 
 from __future__ import annotations
 
-import queue
 import selectors
 import socket
 import threading
@@ -72,7 +73,7 @@ class _Conn:
         self.out = bytearray()
         #: tracing binding ``[sid, last_rid]`` (see ``OracleServer.dispatch``)
         self.ctx: list = [None, 0]
-        self.busy = False  # a slow op is in flight on the sidecar
+        self.busy = False  # a slow op is in flight on its own thread
         self.eof = False  # peer EOF seen; close once idle and flushed
         self.closing = False  # close as soon as ``out`` drains
         self.closed = False
@@ -88,10 +89,10 @@ class ConnectionLoop:
         self._conns: dict[int, _Conn] = {}
         self._pending_add: deque[tuple[socket.socket, int]] = deque()
         self._completions: deque[tuple[_Conn, bytes, bool]] = deque()
-        self._slow_q: queue.SimpleQueue = queue.SimpleQueue()
+        #: threads running a slow op (each removes itself when done)
+        self._slow: set[threading.Thread] = set()
         self._running = False
         self._thread: threading.Thread | None = None
-        self._slow_thread: threading.Thread | None = None
         self._wake_r: socket.socket | None = None
         self._wake_w: socket.socket | None = None
 
@@ -105,10 +106,6 @@ class ConnectionLoop:
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._sel.register(self._wake_r, selectors.EVENT_READ, None)
-        self._slow_thread = threading.Thread(
-            target=self._slow_run, name="pythia-loop-slow", daemon=True
-        )
-        self._slow_thread.start()
         self._thread = threading.Thread(
             target=self._run, name="pythia-loop", daemon=True
         )
@@ -122,9 +119,9 @@ class ConnectionLoop:
         self._wake()
         if self._thread is not None:
             self._thread.join(timeout=5)
-        self._slow_q.put(None)
-        if self._slow_thread is not None:
-            self._slow_thread.join(timeout=5)
+        deadline = time.monotonic() + 5
+        for thread in list(self._slow):
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         # the loop thread is gone; reap anything it still held
         for conn in list(self._conns.values()):
             self._close(conn)
@@ -142,7 +139,6 @@ class ConnectionLoop:
                 except OSError:
                     pass
         self._thread = None
-        self._slow_thread = None
 
     def add(self, conn: socket.socket, conn_id: int) -> None:
         """Hand a freshly accepted (or adopted) connection to the loop."""
@@ -275,15 +271,12 @@ class ConnectionLoop:
         op = frame[1].get("op") if frame[0] == "json" else None
         if isinstance(op, str) and op in SLOW_OPS:
             conn.busy = True
-            if op == "profile_dump":
-                # a profile window sleeps for its whole length: on the
-                # sidecar it would stall every open_session behind it
-                threading.Thread(
-                    target=self._run_slow, args=(conn, frame, recv_ts),
-                    name="pythia-loop-profile", daemon=True,
-                ).start()
-            else:
-                self._slow_q.put((conn, frame, recv_ts))
+            thread = threading.Thread(
+                target=self._run_slow, args=(conn, frame, recv_ts),
+                name=f"pythia-loop-{op}", daemon=True,
+            )
+            self._slow.add(thread)
+            thread.start()
             return
         try:
             conn.out += self._server.dispatch(frame, conn.conn_id, recv_ts, conn.ctx)
@@ -292,14 +285,7 @@ class ConnectionLoop:
             # max_frame): drop only this connection
             self._drop(conn)
 
-    # -- slow ops: sidecar thread, profile windows ----------------------
-
-    def _slow_run(self) -> None:
-        while True:
-            item = self._slow_q.get()
-            if item is None:
-                return
-            self._run_slow(*item)
+    # -- slow ops: one thread each ---------------------------------------
 
     def _run_slow(self, conn: _Conn, frame: tuple, recv_ts: float) -> None:
         """Dispatch one slow op and hand its reply to the loop thread."""
@@ -310,6 +296,7 @@ class ConnectionLoop:
             reply, ok = b"", False
         self._completions.append((conn, reply, ok))
         self._wake()
+        self._slow.discard(threading.current_thread())
 
     # -- writes / teardown ----------------------------------------------
 

@@ -35,7 +35,10 @@ so a reconnect succeeds immediately.
 A connection whose first frame is an *admin* op (``metrics`` /
 ``sessions`` / ``stats`` / ``ping`` / ``workers`` / ``profile_dump`` /
 ``history``) with no session context is served by the supervisor
-itself.  It fans the request out to every live worker and merges the
+itself, from one table (``_ADMIN``) through :meth:`OracleSupervisor.
+admin` — the method the HTTP endpoint calls too — with the daemon's
+own argument checks for ``profile_dump`` and ``history``.  It fans the
+request out to every live worker and merges the
 answers — ``metrics`` becomes one Prometheus exposition with a
 ``worker`` label on every sample (:func:`repro.obs.metrics.
 merge_expositions`) plus the supervisor's own ``pythia_worker_*``
@@ -75,7 +78,14 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.process import register_process_metrics
-from repro.server.daemon import OracleServer, bind_listener, close_listener
+from repro.server.daemon import (
+    OracleServer,
+    RequestError,
+    bind_listener,
+    close_listener,
+    history_args,
+    profile_args,
+)
 from repro.server.protocol import (
     BIN_MAGIC,
     DEFAULT_MAX_FRAME,
@@ -91,11 +101,6 @@ from repro.server.protocol import (
 __all__ = ["HashRing", "OracleSupervisor"]
 
 _log = get_logger("supervisor")
-
-#: ops the supervisor answers itself (when the first frame carries no
-#: session context); everything else is routed to a worker
-SUPERVISOR_OPS = frozenset({"metrics", "sessions", "stats", "ping", "workers",
-                            "profile_dump", "history"})
 
 #: how much of an oversized first frame to peek before giving up on
 #: reading its session id (such connections round-robin instead)
@@ -630,44 +635,33 @@ class OracleSupervisor:
         while self._running.is_set():
             try:
                 request = read_frame(conn, max_frame=self.max_frame)
+                if request is None:
+                    return
+                write_frame(conn, self.admin(request), max_frame=self.max_frame)
             except (ProtocolError, OSError):
                 return
-            if request is None:
-                return
-            op = request.get("op")
-            try:
-                if op == "ping":
-                    response = {
-                        "ok": True, "pong": True, "role": "supervisor",
-                        "pid": os.getpid(),
-                        "workers": len(self._alive_ids()),
-                    }
-                elif op == "workers":
-                    response = {"ok": True, **self._op_workers(request)}
-                elif op == "metrics":
-                    # same reply shape as the daemon's metrics op, so
-                    # `pythia-trace metrics` works against either tier
-                    response = {"ok": True, "text": self._merged_metrics()}
-                elif op == "sessions":
-                    response = {"ok": True, **self._merged_sessions()}
-                elif op == "stats":
-                    response = {"ok": True, **self._merged_stats()}
-                elif op == "profile_dump":
-                    response = {"ok": True, **self._merged_profile(request)}
-                elif op == "history":
-                    response = {"ok": True, **self._merged_history(request)}
-                else:
-                    response = {
-                        "ok": False, "code": "bad_request",
-                        "error": "this connection is bound to the supervisor; "
-                                 "open a new one for session ops",
-                    }
-            except Exception as exc:  # keep the admin loop alive
-                response = {"ok": False, "code": "internal", "error": str(exc)}
-            try:
-                write_frame(conn, response, max_frame=self.max_frame)
-            except OSError:
-                return
+
+    def admin(self, request: dict) -> dict:
+        """Answer one admin request — a frame on an admin connection or
+        an HTTP scrape — with its reply, ``ok`` included."""
+        op = request.get("op")
+        handler = self._ADMIN.get(op) if isinstance(op, str) else None
+        if handler is None:
+            return {
+                "ok": False, "code": "bad_request",
+                "error": "this connection is bound to the supervisor; "
+                         "open a new one for session ops",
+            }
+        try:
+            return {"ok": True, **handler(self, request)}
+        except RequestError as exc:
+            return {"ok": False, "code": exc.code, "error": str(exc)}
+        except Exception as exc:  # keep the admin loop alive
+            return {"ok": False, "code": "internal", "error": str(exc)}
+
+    def _op_ping(self, request: dict) -> dict:
+        return {"pong": True, "role": "supervisor", "pid": os.getpid(),
+                "workers": len(self._alive_ids())}
 
     def _op_workers(self, request: dict) -> dict:
         """Worker table (+ ``home`` routing answer for an offered sid)."""
@@ -712,13 +706,15 @@ class OracleSupervisor:
             routed._set_total(w.routed)
         return render_prometheus(reg)
 
-    def _merged_metrics(self) -> str:
+    def _merged_metrics(self, request: dict) -> dict:
         """One Prometheus page: every worker's registry + supervisor gauges.
 
-        The supervisor's own page goes through the merge (``own=``)
-        rather than being concatenated, so a family living on both
-        sides — every process has ``pythia_process_*`` — keeps exactly
-        one ``# HELP`` / ``# TYPE`` announcement.
+        Same ``{"text": ...}`` shape as the daemon's ``metrics`` op, so
+        ``pythia-trace metrics`` works against either tier.  The
+        supervisor's own page goes through the merge (``own=``) rather
+        than being concatenated, so a family living on both sides —
+        every process has ``pythia_process_*`` — keeps exactly one
+        ``# HELP`` / ``# TYPE`` announcement.
         """
         answers = self._fan_out({"op": "metrics"})
         pages = {
@@ -726,9 +722,9 @@ class OracleSupervisor:
             for wid, resp in answers.items()
             if isinstance(resp.get("text"), str)
         }
-        return merge_expositions(pages, own=self._own_metrics())
+        return {"text": merge_expositions(pages, own=self._own_metrics())}
 
-    def _merged_sessions(self) -> dict:
+    def _merged_sessions(self, request: dict) -> dict:
         """The union session table; every row tagged with its worker."""
         answers = self._fan_out({"op": "sessions"})
         rows: list[dict] = []
@@ -746,7 +742,7 @@ class OracleSupervisor:
         return {"sessions": rows, "tracked": tracked, "evicted": evicted,
                 "capacity": capacity, "workers": sorted(answers)}
 
-    def _merged_stats(self) -> dict:
+    def _merged_stats(self, request: dict) -> dict:
         """Cross-worker stats: summed counters + per-worker detail."""
         answers = self._fan_out({"op": "stats"})
         counters: dict[str, int] = {}
@@ -792,17 +788,9 @@ class OracleSupervisor:
         worker before it reads a reply) — the wall time is one window,
         not N.
         """
-        fmt = request.get("format", "collapsed")
-        if fmt not in ("collapsed", "svg"):
-            return {"ok": False, "code": "bad_request",
-                    "error": "'format' must be 'collapsed' or 'svg'"}
-        seconds = request.get("seconds", 0)
-        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
-                or not 0 <= seconds <= 60:
-            return {"ok": False, "code": "bad_request",
-                    "error": "'seconds' must be a number in [0, 60]"}
+        fmt, seconds, hz = profile_args(request)
         answers = self._fan_out(
-            {"op": "profile_dump", "seconds": seconds, "hz": request.get("hz", 0),
+            {"op": "profile_dump", "seconds": seconds, "hz": hz,
              "format": "collapsed"},
             timeout=float(seconds) + 10.0,
         )
@@ -833,11 +821,8 @@ class OracleSupervisor:
 
     def _merged_history(self, request: dict) -> dict:
         """Per-worker history views + tier-wide rates (summed per key)."""
-        ask = {"op": "history"}
-        for field in ("window", "keys"):
-            if request.get(field) is not None:
-                ask[field] = request[field]
-        answers = self._fan_out(ask)
+        window, keys = history_args(request)
+        answers = self._fan_out({"op": "history", "window": window, "keys": keys})
         workers: dict[str, dict] = {}
         rates: dict[str, float] = {}
         interval = None
@@ -862,10 +847,6 @@ class OracleSupervisor:
     # HTTP observability provider (the obs.httpd duck interface)
     # ------------------------------------------------------------------
 
-    def metrics_text(self) -> str:
-        """The ``/metrics`` page (same exposition as the ``metrics`` op)."""
-        return self._merged_metrics()
-
     def readiness(self) -> tuple[bool, str]:
         """``/ready``: 503 while draining, stopped, or fully worker-less."""
         if self._draining.is_set():
@@ -877,17 +858,19 @@ class OracleSupervisor:
             return False, "no live workers"
         return True, f"ready ({alive}/{self.worker_count} workers)"
 
-    def sessions_view(self) -> dict:
-        return self._merged_sessions()
+    #: the admin ops the supervisor answers itself, by fanning out to
+    #: its workers and merging (or from its own state)
+    _ADMIN = {
+        "ping": _op_ping,
+        "workers": _op_workers,
+        "metrics": _merged_metrics,
+        "sessions": _merged_sessions,
+        "stats": _merged_stats,
+        "profile_dump": _merged_profile,
+        "history": _merged_history,
+    }
 
-    def stats_view(self) -> dict:
-        return self._merged_stats()
 
-    def profile_view(self, seconds: float, fmt: str, hz: float = 0.0) -> dict:
-        out = self._merged_profile({"seconds": seconds, "format": fmt, "hz": hz})
-        if out.get("ok") is False:
-            raise ValueError(out.get("error", "profile failed"))
-        return out
-
-    def history_view(self, window_s: float | None, keys: list[str] | None) -> dict:
-        return self._merged_history({"window": window_s, "keys": keys})["history"]
+#: ops the supervisor answers itself (when the first frame carries no
+#: session context); everything else is routed to a worker
+SUPERVISOR_OPS = frozenset(OracleSupervisor._ADMIN)

@@ -12,19 +12,17 @@ terminal, the bits of probability, eta and the whole distribution) and
 of the final ``stats()`` is compared with a digest committed below, on
 both paths.
 
-The digests do not depend on ``PYTHONHASHSEED``.  They do depend on the
-Python version: since 3.12 ``sum()`` adds floats with compensated
-(Neumaier) summation, which moves the last bits of the weights the
-tracker normalises, so 3.10-3.11 and 3.12+ each have their own table.
-Update them only together with a deliberate change of what the oracle
-answers, and say so in the change.
+The digests depend neither on ``PYTHONHASHSEED`` nor on the Python
+version: the tracker normalises its weights with plain left-to-right
+float additions, not ``sum()``, which compensates since 3.12.  Update
+them only together with a deliberate change of what the oracle answers,
+and say so in the change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import sys
 
 import pytest
 
@@ -32,8 +30,8 @@ from repro.core.predict import PythiaPredict
 from repro.core.timing import TimingTable
 from tests.conftest import freeze, random_structured_stream
 
-#: per seed, on Python 3.10-3.11 (plain float sum())
-_PLAIN_SUM = {
+#: per seed, on every supported Python version
+GOLDEN_SHA256 = {
     1: "556ed5165911f836744b282e147baab8ff6c5a4a5003394e25b8ee1a4dcdf96d",
     2: "616ffba14e8a53a8df3ce31958a093f46770eab93bb012a54a6ef89e268a91f2",
     3: "c506c12e06cd63f5c420b874174df0edd892748a4fe82322ed1a8c0a4469c35a",
@@ -41,16 +39,6 @@ _PLAIN_SUM = {
     8: "057b6173cf839e098a95f9a902a615fd8d9c36d3920880b5870ce9474d751f50",
     13: "6fd00f87c1a9431bb40a273d163d237abab7f4608fcda296445582c4d848b039",
 }
-#: per seed, on Python 3.12+ (compensated float sum())
-_COMPENSATED_SUM = {
-    1: "4925f8f596a997b3afd1baac3788529c757082a547c8c184e1ea9d39b6e5d09e",
-    2: "7a537a9dcc3abd0380f830efd8224955df46afd061cd664632bfe7fb9872c256",
-    3: "4b279616e96f939e56167ce37f2e0f94c614b444cacdc740907ce9ddf09dbd5c",
-    5: "d39ccb6a595291b9917363ba156794488fc1ed13e0b2719b7e49139f26f2b0ff",
-    8: "828e95197b886196992737d796aa9c2fe2fd99394b084dd47d728c6408998320",
-    13: "2d8420b6202807a9253f96c050da037020f3003487a9292258a776281fc69b50",
-}
-GOLDEN_SHA256 = _COMPENSATED_SUM if sys.version_info >= (3, 12) else _PLAIN_SUM
 
 
 def _answer(pred):

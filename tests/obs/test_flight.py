@@ -131,14 +131,14 @@ class TestDumping:
         monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
         flight = FlightRecorder(8)
         flight.note("x")
-        assert flight.auto_dump() is None
+        assert flight.dump() is None
         assert flight.dumps == 0
 
     def test_env_var_names_the_dump_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
         flight = FlightRecorder(8, session="bt.pythia/t0")
         flight.note("x")
-        path = flight.auto_dump()
+        path = flight.dump()
         assert path is not None and path.startswith(str(tmp_path))
         assert os.path.basename(path) == "flight-bt.pythia_t0.jsonl"  # sanitized
 

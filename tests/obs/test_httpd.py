@@ -21,31 +21,36 @@ from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 
 
 class StubProvider:
-    """Minimal provider: canned payloads, scriptable readiness."""
+    """Minimal provider: canned replies, scriptable readiness."""
 
     def __init__(self):
         self.ready = (True, "ready")
         self.profile_calls = []
 
-    def metrics_text(self):
-        return "# TYPE stub_total counter\nstub_total 7\n"
+    def admin(self, request):
+        op = request["op"]
+        if op == "metrics":
+            return {"ok": True, "text": "# TYPE stub_total counter\nstub_total 7\n"}
+        if op == "sessions":
+            return {"ok": True, "tracked": 2, "sessions": [{"sid": "cAAA"}]}
+        if op == "stats":
+            return {"ok": True, "sessions": 2}
+        if op == "profile_dump":
+            fmt = request["format"]
+            if fmt not in ("collapsed", "svg"):
+                return {"ok": False, "code": "bad_request", "error": "bad format"}
+            self.profile_calls.append((request["seconds"], fmt, request["hz"]))
+            body = "<svg>x</svg>" if fmt == "svg" else "main;op:ping 3\n"
+            return {"ok": True, "format": fmt, "profile": body,
+                    "report": {"samples": 3}}
+        assert op == "history"
+        return {"ok": True, "history": {
+            "window": request["window"], "keys": request["keys"],
+            "rates": {"stub_total": 1.5},
+        }}
 
     def readiness(self):
         return self.ready
-
-    def sessions_view(self):
-        return {"tracked": 2, "sessions": [{"sid": "cAAA"}]}
-
-    def stats_view(self):
-        return {"sessions": 2}
-
-    def profile_view(self, seconds, fmt, hz):
-        self.profile_calls.append((seconds, fmt, hz))
-        body = "<svg>x</svg>" if fmt == "svg" else "main;op:ping 3\n"
-        return {"format": fmt, "profile": body, "report": {"samples": 3}}
-
-    def history_view(self, window, keys):
-        return {"window": window, "keys": keys, "rates": {"stub_total": 1.5}}
 
 
 @pytest.fixture
@@ -161,12 +166,30 @@ class TestCountersAndErrors:
 
     def test_provider_exception_is_500_not_crash(self, served):
         provider, _, server = served
-        provider.history_view = lambda *_a: 1 / 0
+        provider.admin = lambda *_a: 1 / 0
         with pytest.raises(urllib.error.HTTPError) as err:
             fetch(server, "/history.json")
         assert err.value.code == 500
         # endpoint still alive afterwards
         assert fetch(server, "/healthz")[0] == 200
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("code,status", [
+        ("bad_request", 400), ("internal", 500),
+        ("profiler_off", 503), ("history_off", 503),
+    ])
+    def test_refused_op_status_and_json_body(self, served, code, status):
+        provider, _, server = served
+        provider.admin = lambda _request: {"ok": False, "code": code, "error": "no"}
+        for route in ("/metrics", "/sessions.json", "/stats.json", "/profile",
+                      "/history.json"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                fetch(server, route)
+            assert err.value.code == status
+            assert err.value.headers["Content-Type"].startswith("application/json")
+            body = json.loads(err.value.read().decode())
+            assert body == {"code": code, "error": "no"}
 
 
 class TestLifecycle:

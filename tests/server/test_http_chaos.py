@@ -88,7 +88,7 @@ class TestDaemonParity:
         with PythiaClient(trace, socket=srv.socket_path) as client:
             for name, payload in events[:60]:
                 client.event_and_predict(name, payload)
-            op_page = srv.metrics_text()  # what the `metrics` op returns
+            op_page = srv.admin({"op": "metrics"})["text"]  # the `metrics` op
             _, http_page = fetch(httpd.url + "/metrics")
         op_samples, http_samples = flat(op_page), flat(http_page)
         stable_op = {k: v for k, v in op_samples.items() if not volatile(k[0])}
