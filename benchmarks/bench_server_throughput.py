@@ -342,8 +342,7 @@ def _bench_multi_worker(trace_path: str, tmp: str, workers: int, steps: int,
     import json
     import os
 
-    from repro.server import OracleSupervisor
-    from repro.server.protocol import read_frame, write_frame
+    from repro.server import OracleSupervisor, admin_request
 
     section: dict = {
         "workers": workers,
@@ -389,15 +388,8 @@ def _bench_multi_worker(trace_path: str, tmp: str, workers: int, steps: int,
               f"multi-worker 16-vs-1 scaling {scaling:.2f}x")
 
         if metrics_out:
-            import socket as socket_mod
-
-            conn = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
-            conn.connect(sockn)
-            write_frame(conn, {"op": "metrics"})
-            page = read_frame(conn)["text"]
-            write_frame(conn, {"op": "stats"})
-            stats = read_frame(conn)
-            conn.close()
+            page = admin_request(sockn, {"op": "metrics"})["text"]
+            stats = admin_request(sockn, {"op": "stats"})
             with open(metrics_out, "w") as fh:
                 fh.write(page)
             section["artifacts"] = stats["store"].get("artifacts", [])

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import collections
 import os
-import socket
 import tempfile
 
 from repro import Pythia
-from repro.server import OracleSupervisor, PythiaClient
-from repro.server.protocol import read_frame, write_frame
+from repro.server import OracleSupervisor, PythiaClient, admin_request
 
 STEP = [
     ("post_recv", 1),
@@ -53,17 +51,6 @@ def record_reference(trace_path: str) -> None:
         for name, payload in STEP:
             oracle.event(name, payload)
     oracle.finish()
-
-
-def admin(sock_path: str, request: dict) -> dict:
-    """One supervisor-served request (what the CLI tools send)."""
-    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    conn.connect(sock_path)
-    try:
-        write_frame(conn, request)
-        return read_frame(conn)
-    finally:
-        conn.close()
 
 
 def main() -> None:
@@ -98,7 +85,7 @@ def main() -> None:
         again.close()
 
         # -- per-worker session counts from the merged table ------------
-        table = admin(sock_path, {"op": "sessions"})
+        table = admin_request(sock_path, {"op": "sessions"})
         per_worker = collections.Counter(
             row["worker"] for row in table["sessions"]
         )
@@ -108,12 +95,12 @@ def main() -> None:
             print(f"  worker {wid}: {per_worker[wid]} session(s)  {sorted(rows)}")
 
         # -- one grammar parse for the whole tier -----------------------
-        stats = admin(sock_path, {"op": "stats"})
+        stats = admin_request(sock_path, {"op": "stats"})
         store = stats["store"]
         print(f"\nshared grammar: {store['artifact_compiles']} compile(s) "
               f"for {len(stats['workers'])} active worker(s); "
               f"artifact(s): {[os.path.basename(a) for a in store['artifacts']]}")
-        workers = admin(sock_path, {"op": "workers"})["workers"]
+        workers = admin_request(sock_path, {"op": "workers"})["workers"]
         routed = {w: info["connections_routed"] for w, info in sorted(workers.items())}
         print(f"connections routed per worker: {routed}")
 

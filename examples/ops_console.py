@@ -38,8 +38,7 @@ from repro import Pythia
 from repro.obs import spans as obs_spans
 from repro.obs.analysis import TraceTable
 from repro.obs.top import OpsConsole
-from repro.server import OracleServer, PythiaClient, TraceStore
-from repro.server.protocol import read_frame, write_frame
+from repro.server import OracleServer, PythiaClient, TraceStore, admin_request
 
 STEP = [
     ("post_recv", 1),
@@ -68,20 +67,6 @@ def run_application(session_id: str, trace_path: str, socket_path: str):
         for name, payload in STEP:
             client.event_and_predict(name, payload)
     return client
-
-
-def daemon_request(socket_path: str, op: str) -> dict:
-    """What the CLI does: one frame to the daemon, one reply back."""
-    import socket as socketlib
-
-    sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-    sock.settimeout(10.0)
-    sock.connect(socket_path)
-    try:
-        write_frame(sock, {"op": op})
-        return read_frame(sock)
-    finally:
-        sock.close()
 
 
 def main() -> None:
@@ -119,8 +104,9 @@ def main() -> None:
                       f"hit_rate={row.get('hit_rate', 0.0):.3f}")
 
             print("\n=== one ops-console frame (pythia-trace top) ===")
-            metrics_text = daemon_request(socket_path, "metrics")["text"]
-            sessions_table = daemon_request(socket_path, "sessions")
+            # what the CLI does: one admin request per connection
+            metrics_text = admin_request(socket_path, {"op": "metrics"})["text"]
+            sessions_table = admin_request(socket_path, {"op": "sessions"})
             console = OpsConsole(lambda: {}, clear=False, title="pythia ops demo")
             print(console.frame(
                 {"metrics": metrics_text, "sessions": sessions_table}

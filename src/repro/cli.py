@@ -112,37 +112,31 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _address(args):
+    """The daemon address: ``--tcp HOST:PORT`` as a tuple, else ``--socket``."""
+    if args.tcp:
+        host, _, port = args.tcp.rpartition(":")
+        return (host or "127.0.0.1", int(port))
+    return args.socket
+
+
 def _daemon_requests(args, requests: list[dict]) -> list[dict]:
-    """One connection to the daemon, many frames; returns the replies.
+    """Each request on its own admin connection; returns the replies.
 
     Raises ``OSError`` when the daemon is unreachable and
     ``RuntimeError`` for error replies — callers decide presentation.
     """
-    import socket as socketlib
+    from repro.server import ProtocolError, admin_request
 
-    from repro.server.protocol import read_frame, write_frame
-
-    timeout = getattr(args, "timeout", 10.0)
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        sock = socketlib.create_connection(
-            (host or "127.0.0.1", int(port)), timeout=timeout
-        )
-    else:
-        sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(args.socket)
     replies: list[dict] = []
-    try:
-        for request in requests:
-            write_frame(sock, request)
-            response = read_frame(sock)
-            if response is None or not response.get("ok"):
-                error = (response or {}).get("error", "daemon closed the connection")
-                raise RuntimeError(error)
-            replies.append(response)
-    finally:
-        sock.close()
+    for request in requests:
+        try:
+            response = admin_request(_address(args), request, timeout=args.timeout)
+        except ProtocolError as exc:
+            raise RuntimeError(str(exc)) from exc
+        if not response.get("ok"):
+            raise RuntimeError(response.get("error", "error reply"))
+        replies.append(response)
     return replies
 
 
@@ -210,7 +204,10 @@ def _cmd_top(args) -> int:
         poll, interval=args.interval, title=f"pythia ops — {where}",
         clear=None if not args.once else False,
     )
-    return console.run(iterations=1 if args.once else args.iterations)
+    status = console.run(iterations=1 if args.once else args.iterations)
+    if status:
+        print(f"error: the last poll of {where} failed", file=sys.stderr)
+    return status
 
 
 def _cmd_analyze(args) -> int:
@@ -225,23 +222,7 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.merge:
-        events = [
-            {
-                "name": row.get("name"),
-                "ph": row.get("ph") or "X",
-                "ts": row.get("ts"),
-                "dur": row.get("dur"),
-                "pid": row.get("pid") or 0,
-                "tid": row.get("tid") or 0,
-                "args": {
-                    k: v for k, v in row.items()
-                    if k not in ("name", "ph", "ts", "dur", "pid", "tid")
-                    and v is not None
-                },
-            }
-            for row in table
-        ]
-        journal.dump(args.merge, journal.chrome_trace(events, {}))
+        journal.dump(args.merge, table.to_chrome_trace())
         print(f"merged {len(table)} events from {len(args.files)} file(s) "
               f"-> {args.merge}")
     report = table.report()
@@ -314,11 +295,7 @@ def _primed_session(args):
     pairs = [
         (registry.event(t).name, registry.event(t).payload) for t in prime
     ]
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        address: object = (host or "127.0.0.1", int(port))
-    else:
-        address = args.socket
+    address = _address(args)
     if address:
         from repro.server.client import PythiaClient
 
@@ -403,10 +380,7 @@ def _cmd_serve(args) -> int:
     from repro.server import OracleServer, TraceStore
     from repro.server.daemon import serve_forever
 
-    tcp_address = None
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        tcp_address = (host or "127.0.0.1", int(port))
+    tcp_address = _address(args) if args.tcp else None
     if args.workers and args.workers > 0:
         from repro.server import OracleSupervisor
 

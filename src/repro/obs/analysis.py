@@ -12,7 +12,8 @@ request-tracing specific ones, ``requests`` (client-side request
 spans), ``critical_path`` (one request's wire/queue/handler
 decomposition) and ``decompose`` (the decomposition for every traced
 request, which is how ``pythia-trace analyze`` reproduces the live
-``timing_report`` offline).
+``timing_report`` offline).  ``to_chrome_trace`` writes the rows back
+as one Chrome trace (``pythia-trace analyze --merge``).
 
 Column conventions (missing values are ``None``):
 
@@ -103,6 +104,28 @@ class TraceTable:
             else:
                 rows.extend(_rows_from_jsonl(obj, source))
         return cls(rows)
+
+    def to_chrome_trace(self) -> dict:
+        """The rows as one Chrome trace (the inverse of loading one):
+        each row an event, its non-structural columns as ``args``."""
+        events = [
+            {
+                "name": row.get("name"),
+                "ph": row.get("ph") or "X",
+                "ts": row.get("ts"),
+                "dur": row.get("dur"),
+                "pid": row.get("pid") or 0,
+                "tid": row.get("tid") or 0,
+                "args": {
+                    k: v
+                    for k, v in row.items()
+                    if k not in ("name", "ph", "ts", "dur", "pid", "tid")
+                    and v is not None
+                },
+            }
+            for row in self.rows
+        ]
+        return journal.chrome_trace(events, {})
 
     # -- the dataframe-ish verbs ----------------------------------------
 

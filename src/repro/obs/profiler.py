@@ -15,8 +15,8 @@ one opaque interpreter frame.
 
 Output formats:
 
-- :meth:`SamplingProfiler.collapsed` — Brendan Gregg's collapsed-stack
-  text, one ``stack count`` line, loadable by any flamegraph tool;
+- :func:`render_collapsed` — Brendan Gregg's collapsed-stack text, one
+  ``stack count`` line, loadable by any flamegraph tool;
 - :func:`render_flamegraph` — a self-contained SVG flamegraph (no
   external assets, no JavaScript required to read it) built from the
   same stacks, served by ``/profile?seconds=N&format=svg`` and written
@@ -240,10 +240,6 @@ class SamplingProfiler:
             if delta > 0:
                 out[stack] = delta
         return out
-
-    def collapsed(self, stacks: dict[str, int] | None = None) -> str:
-        """Collapsed-stack text (``stack count`` per line, sorted)."""
-        return render_collapsed(self.snapshot() if stacks is None else stacks)
 
     def report(self) -> dict:
         """Summary for the ``profile_dump`` op / ``/profile`` endpoint."""

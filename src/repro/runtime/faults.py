@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import random
 import socket
-import struct
 import threading
 import time
 
@@ -53,47 +52,32 @@ class ErrorInjector:
         return True
 
 
-_HEADER = struct.Struct(">I")
-_BIN_HEADER = struct.Struct(">BBHI")  # v2 framing: magic 0xA7, op, flags, len
-_BIN_MAGIC = 0xA7
-
-
 def _read_raw_frame(sock: socket.socket) -> bytes | None:
     """One frame as raw bytes (header included), either framing.
 
-    A first byte of ``0xA7`` is a v2 binary frame (8-byte header, u32
-    body length at offset 4); anything else is a length-prefixed JSON
-    frame.  ``None`` on EOF at a frame boundary; raises
-    :class:`OSError` (via ``ConnectionResetError``) on EOF mid-frame —
+    Receives only up to the end :func:`repro.server.protocol.parse_frame`
+    reports, so the next frame stays in the socket.  ``None`` on EOF at
+    a frame boundary; EOF mid-frame raises ``ConnectionResetError`` and
+    a malformed frame :class:`~repro.server.protocol.ProtocolError` —
     either way the bridge is over.
     """
-    chunks: list[bytes] = []
-    header_size = _HEADER.size
-    need = 1
-    got = 0
-    while got < need:
-        chunk = sock.recv(need - got)
+    # imported here, not at the top: the interposers import
+    # repro.runtime, and this module would pull the whole server
+    # package onto their import path
+    from repro.server.protocol import parse_frame
+
+    buf = bytearray()
+    end = 1
+    while True:
+        chunk = sock.recv(end - len(buf))
         if not chunk:
-            if got == 0:
+            if not buf:
                 return None
             raise ConnectionResetError("peer closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-        if need == 1 and got >= 1:
-            head = b"".join(chunks)
-            chunks = [head]
-            if head[0] == _BIN_MAGIC:
-                header_size = _BIN_HEADER.size
-            need = header_size
-        if got == need == header_size:
-            head = b"".join(chunks)
-            chunks = [head]
-            if header_size == _BIN_HEADER.size:
-                length = struct.unpack_from(">I", head, 4)[0]
-            else:
-                (length,) = _HEADER.unpack(head)
-            need += length
-    return b"".join(chunks)
+        buf += chunk
+        end, frame = parse_frame(buf)
+        if frame is not None:
+            return bytes(buf)
 
 
 class _Bridge:
@@ -105,8 +89,12 @@ class _Bridge:
         self.upstream = proxy._connect_upstream()
         self.alive = True
         self._threads = [
-            threading.Thread(target=self._pump_requests, daemon=True),
-            threading.Thread(target=self._pump_replies, daemon=True),
+            threading.Thread(
+                target=self._pump, args=(client, proxy._on_request), daemon=True
+            ),
+            threading.Thread(
+                target=self._pump, args=(self.upstream, proxy._on_reply), daemon=True
+            ),
         ]
 
     def start(self) -> None:
@@ -127,28 +115,17 @@ class _Bridge:
                 pass
         self.proxy._bridges.discard(self)
 
-    def _pump_requests(self) -> None:
-        try:
-            while self.alive:
-                frame = _read_raw_frame(self.client)
-                if frame is None:
-                    break
-                if not self.proxy._on_request(self, frame):
-                    return
-        except OSError:
-            pass
-        finally:
-            self.kill()
+    def _pump(self, source: socket.socket, on_frame) -> None:
+        """Forward frames read from ``source`` through ``on_frame`` until
+        either side ends the bridge."""
+        from repro.server.protocol import ProtocolError
 
-    def _pump_replies(self) -> None:
         try:
             while self.alive:
-                frame = _read_raw_frame(self.upstream)
-                if frame is None:
+                frame = _read_raw_frame(source)
+                if frame is None or not on_frame(self, frame):
                     break
-                if not self.proxy._on_reply(self, frame):
-                    return
-        except OSError:
+        except (OSError, ProtocolError):
             pass
         finally:
             self.kill()

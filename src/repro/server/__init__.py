@@ -15,7 +15,9 @@ share anything.  This subsystem splits record from serve:
   dispatch, one tracker per session, per-connection error isolation;
 - :mod:`repro.server.client` — :class:`PythiaClient`, a drop-in
   predict-mode replacement for the :class:`~repro.core.oracle.Pythia`
-  facade;
+  facade, and :func:`admin_request`, the one way every surface (CLI,
+  client, tests, examples) sends a daemon or supervisor an admin
+  request;
 - :mod:`repro.server.protocol` — the framing and value encodings.
 
 - :mod:`repro.server.supervisor` — :class:`OracleSupervisor`, the
@@ -42,7 +44,12 @@ unreachable; the daemon drains gracefully on SIGTERM
 answering late requests with the retryable ``shutting_down`` code.
 """
 
-from repro.server.client import OracleServiceError, PythiaClient, RetryPolicy
+from repro.server.client import (
+    OracleServiceError,
+    PythiaClient,
+    RetryPolicy,
+    admin_request,
+)
 from repro.server.daemon import OracleServer, RequestError
 from repro.server.protocol import (
     DEFAULT_MAX_FRAME,
@@ -71,6 +78,7 @@ __all__ = [
     "RetryPolicy",
     "TraceBundle",
     "TraceStore",
+    "admin_request",
     "read_frame",
     "write_frame",
 ]

@@ -75,6 +75,18 @@ request also emits a ``client.<op>`` span tagged ``sid``/``rid`` that
 correlates 1:1 with the daemon's ``server.<op>`` span.  Old daemons
 simply ignore ``ctx`` and return no ``srv``; only the total is then
 recorded.
+
+Framing and admin requests
+--------------------------
+The ``open_session`` reply says whether the daemon speaks the binary
+framing: a daemon that does advertises the session's number
+(``snum``), which is what a binary frame carries instead of the
+session id.  So every connection learns its framing from its first
+session, with no extra round trip.  Admin requests (``server_stats``,
+``sessions``, ``history``) never ride the session connection: each one
+goes through :func:`admin_request` on a fresh connection without
+session context, so a session connection always starts with a session
+op, and behind a supervisor the answer is the whole tier's merged view.
 """
 
 from __future__ import annotations
@@ -102,7 +114,6 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS_S
 from repro.server.protocol import (
     BIN_REQ,
-    DEFAULT_MAX_FRAME,
     F_HAS_SRV,
     F_MATCHED,
     F_REQUIRE_MATCH,
@@ -124,10 +135,15 @@ from repro.server.protocol import (
     encode_bin_frame,
     encode_json_frame,
     encode_payload,
+    read_frame,
     read_frame_any,
+    write_frame,
 )
 
-__all__ = ["OraclePipeline", "OracleServiceError", "PythiaClient", "RetryPolicy"]
+__all__ = [
+    "OraclePipeline", "OracleServiceError", "PythiaClient", "RetryPolicy",
+    "admin_request",
+]
 
 #: JSON op name -> binary opcode for the requests that have a binary
 #: spelling (protocol v2 hot path)
@@ -236,9 +252,9 @@ class PythiaClient:
     timeout:
         Socket timeout in seconds for connect and each request I/O.
     retry:
-        :class:`RetryPolicy` for reconnect/backoff, or ``None`` to
-        fail a request on its first transport error (pre-fault-layer
-        behavior, still followed by the fallback).
+        :class:`RetryPolicy` for reconnect/backoff;
+        ``RetryPolicy(max_retries=0)`` fails a request on its first
+        transport error (still followed by the fallback).
     resync_window:
         How many recent observed events per thread are kept for session
         replay after a reconnect, or ``None`` to keep the full history.
@@ -268,15 +284,16 @@ class PythiaClient:
         Override the generated client session id (at most 128 chars;
         useful when an outer system owns correlation ids).
     protocol:
-        ``"auto"`` (default) negotiates protocol v2 with one ``hello``
-        per connection and uses the compact binary framing for hot
-        requests when the daemon supports it, falling back to JSON
-        against old daemons.  ``"json"`` skips negotiation and stays on
-        JSON (the pre-v2 wire format); ``"binary"`` demands v2 and
-        raises :class:`OracleServiceError` (code ``protocol``) when the
-        daemon cannot speak it.  Predictions are byte-identical across
-        framings — the binary path resolves ``(name, payload)`` against
-        the same registry the daemon would use.
+        ``"auto"`` (default) uses the compact binary framing for hot
+        requests when the daemon supports it — an ``open_session``
+        reply that carries ``snum`` says so — and JSON against old
+        daemons.  ``"json"`` never looks and stays on JSON (the pre-v2
+        wire format); ``"binary"`` demands v2 and raises
+        :class:`OracleServiceError` (code ``protocol``) when an
+        ``open_session`` reply has no ``snum``.  Predictions are
+        byte-identical across framings — the binary path resolves
+        ``(name, payload)`` against the same registry the daemon would
+        use.
     """
 
     mode = "predict"
@@ -288,8 +305,7 @@ class PythiaClient:
         socket: str | os.PathLike | tuple[str, int],
         max_candidates: int = 64,
         timeout: float | None = 30.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        retry: RetryPolicy | None = RetryPolicy(),
+        retry: RetryPolicy = RetryPolicy(),
         resync_window: int | None = 256,
         fallback: str = "local",
         context: bool = True,
@@ -306,7 +322,6 @@ class PythiaClient:
             raise ValueError("session_id must be 1..128 characters")
         self.trace_path = os.fspath(trace_path)
         self.address = socket
-        self.max_frame = max_frame
         self.retry = retry
         self.resync_window = resync_window
         self.fallback = fallback
@@ -317,13 +332,11 @@ class PythiaClient:
         #: daemon session id -> its numeric spelling (the ``snum`` the
         #: open_session reply advertised; what binary frames carry)
         self._snums: dict[str, int] = {}
-        #: requested protocol ("auto"/"json"/"binary") vs the per-run
-        #: negotiated state: None before the first hello, then "binary"
-        #: or "json".  A daemon that answers hello with unknown_op is
-        #: old — the state pins to "json" and is never re-negotiated.
+        #: requested protocol ("auto"/"json"/"binary") vs the framing
+        #: in use: None before the first open_session, then "binary" or
+        #: "json" as each open_session reply says (snum or not)
         self._protocol = protocol
         self._proto_state: str | None = "json" if protocol == "json" else None
-        self._hello_done = protocol == "json"
         self._rings: dict[int, deque] = {}
         self._registry: EventRegistry | None = None
         self._finished = False
@@ -401,8 +414,12 @@ class PythiaClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         else:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout)
-            sock.connect(os.fspath(address))
+            try:
+                sock.settimeout(timeout)
+                sock.connect(os.fspath(address))
+            except OSError:
+                sock.close()
+                raise
         return sock
 
     # ------------------------------------------------------------------
@@ -437,10 +454,6 @@ class PythiaClient:
         self._sessions.clear()
         self._snums.clear()
         self._sid_bound = False  # a fresh connection starts unbound
-        # negotiation is per connection (a restarted daemon may have
-        # been up- or downgraded) — but a pinned "json" state stays
-        if self._protocol != "json":
-            self._hello_done = False
 
     def _timing_hist(self, op: str, component: str):
         """The (op, component) latency digest, created on first use."""
@@ -551,7 +564,7 @@ class PythiaClient:
             if not self._sid_bound:
                 extra = self._ctx_prefix + str(self._rid) + "}"
         if frame is None:
-            frame = encode_json_frame(request, max_frame=self.max_frame, extra=extra)
+            frame = encode_json_frame(request, extra=extra)
         return frame
 
     def _read_reply(self, sock: socket.socket) -> dict:
@@ -560,7 +573,7 @@ class PythiaClient:
         A reply carrying ``srv`` proves the daemon bound this client's
         identity to the connection: requests need no stamp from then on.
         """
-        reply = read_frame_any(sock, max_frame=self.max_frame)
+        reply = read_frame_any(sock)
         if reply is None:
             raise ProtocolError("daemon closed the connection")
         response = reply[1] if reply[0] == "json" else self._bin_decode_reply(reply)
@@ -651,39 +664,7 @@ class PythiaClient:
             raise TraceFormatError(message)
         raise OracleServiceError(code, message)
 
-    # -- protocol v2: negotiation, binary encode/decode ------------------
-
-    def _do_hello(self) -> None:
-        """Negotiate protocol v2 on a fresh connection (one round trip).
-
-        An old daemon answers ``unknown_op`` — the client pins itself
-        to JSON and never asks again; a v2 daemon advertises ``binary``
-        and hot requests switch framing.  Transport errors propagate as
-        :class:`_RetryableFailure` into the normal retry machinery.
-        """
-        if self._hello_done:
-            return
-        if self._proto_state == "json":
-            self._hello_done = True
-            return
-        try:
-            response = self._roundtrip({"op": "hello", "proto": 2})
-        except OracleServiceError as exc:
-            if exc.code != "unknown_op":
-                raise
-            if self._protocol == "binary":
-                raise OracleServiceError(
-                    "protocol", "daemon does not speak the binary protocol"
-                ) from exc
-            self._proto_state = "json"  # old daemon: pinned for good
-            self._hello_done = True
-            return
-        self._proto_state = "binary" if response.get("binary") else "json"
-        if self._protocol == "binary" and self._proto_state != "binary":
-            raise OracleServiceError(
-                "protocol", "daemon does not speak the binary protocol"
-            )
-        self._hello_done = True
+    # -- protocol v2: binary encode/decode --------------------------------
 
     def _bin_encode_request(self, request: dict) -> bytes | None:
         """The binary frame for ``request``, or None when it has no
@@ -772,7 +753,11 @@ class PythiaClient:
         return decode_prediction(pred)
 
     def _open_session(self, thread: int) -> str:
-        """Open a daemon session for ``thread`` and replay its ring."""
+        """Open a daemon session for ``thread`` and replay its ring.
+
+        The reply also sets the connection's framing: a daemon that
+        speaks binary advertises the session's ``snum``.
+        """
         response = self._roundtrip({
             "op": "open_session",
             "trace": self.trace_path,
@@ -781,9 +766,19 @@ class PythiaClient:
             "with_registry": self._registry is None,
         })
         sid = response["session"]
-        snum = response.get("snum")
-        if isinstance(snum, int) and not isinstance(snum, bool):
-            self._snums[sid] = snum
+        if self._protocol != "json":
+            snum = response.get("snum")
+            if isinstance(snum, int) and not isinstance(snum, bool):
+                self._snums[sid] = snum
+                self._proto_state = "binary"
+            elif self._protocol == "binary":
+                # closing the connection closes the session it opened
+                self._invalidate_connection()
+                raise OracleServiceError(
+                    "protocol", "daemon does not speak the binary protocol"
+                )
+            else:
+                self._proto_state = "json"
         self._worker = response.get("worker")
         if self._registry is None and "registry" in response:
             self._registry = EventRegistry.from_obj(response["registry"])
@@ -817,8 +812,6 @@ class PythiaClient:
                 try:
                     if self._sock is None:
                         self._reconnect(attempts)
-                    if not self._hello_done:
-                        self._do_hello()
                     if thread is not None:
                         sid = self._sessions.get(thread)
                         if sid is None:
@@ -829,12 +822,9 @@ class PythiaClient:
                     attempts += 1
                     self.counters["retries"] += 1
                     self._m_retries.inc()
-                    budget_left = policy is not None and (
-                        attempts <= policy.max_retries
-                        and (
-                            policy.deadline is None
-                            or monotonic() - started < policy.deadline
-                        )
+                    budget_left = attempts <= policy.max_retries and (
+                        policy.deadline is None
+                        or monotonic() - started < policy.deadline
                     )
                     if not budget_left:
                         self._enter_degraded(exc.cause or exc)
@@ -1193,76 +1183,49 @@ class PythiaClient:
         except _UseFallback:
             return self._fallback_oracle.stats(thread)
 
-    def server_stats(self) -> dict:
-        """Daemon-wide counters (sessions, cache, latency aggregates)."""
+    def _admin(self, request: dict) -> dict:
+        """One admin request through :func:`admin_request`.
+
+        Raises :class:`OracleServiceError` with the reply's code for an
+        ``ok: false`` reply, and with ``unavailable`` when the daemon
+        cannot be reached.
+        """
         try:
-            return self._request("stats")
-        except _UseFallback:
+            reply = admin_request(self.address, request, timeout=self._timeout)
+        except (OSError, ProtocolError) as exc:
             raise OracleServiceError(
-                "unavailable", "daemon unreachable: client is in degraded mode"
-            ) from None
+                "unavailable", f"oracle daemon unreachable: {exc}"
+            ) from exc
+        if not reply.get("ok"):
+            raise OracleServiceError(
+                reply.get("code", "error"), reply.get("error", "unknown error")
+            )
+        return reply
+
+    def server_stats(self) -> dict:
+        """Daemon-wide counters (sessions, cache, latency aggregates);
+        behind a supervisor, the tier's merged view."""
+        return self._admin({"op": "stats"})
 
     def fault_stats(self) -> dict:
         """The fault layer's own counters and state (for monitoring)."""
         return {**self.counters, "degraded": self._degraded,
                 "fallback": self.fallback}
 
-    def profile_dump(
-        self, *, seconds: float = 0.0, format: str = "collapsed", hz: float = 0.0
-    ) -> dict:
-        """Pull collapsed stacks (or a flamegraph SVG) from the daemon.
-
-        ``seconds > 0`` collects a fresh window — the reply blocks for
-        the window, so the request timeout is stretched to cover it.
-        """
-        request: dict = {"seconds": seconds, "format": format}
-        if hz:
-            request["hz"] = hz
-        old_timeout = self._timeout
-        stretch = old_timeout is not None and seconds > 0
-        try:
-            if stretch:
-                self._timeout = max(old_timeout, seconds + 10.0)
-                if self._sock is not None:
-                    self._sock.settimeout(self._timeout)
-            return self._request("profile_dump", **request)
-        except _UseFallback:
-            raise OracleServiceError(
-                "unavailable", "daemon unreachable: client is in degraded mode"
-            ) from None
-        finally:
-            if stretch:
-                self._timeout = old_timeout
-                if self._sock is not None:
-                    try:
-                        self._sock.settimeout(old_timeout)
-                    except OSError:
-                        pass
-
     def history(
         self, *, window: float | None = None, keys: list[str] | None = None
     ) -> dict:
         """The daemon's metrics-history view (series + per-second rates)."""
-        request: dict = {}
+        request: dict = {"op": "history"}
         if window is not None:
             request["window"] = window
         if keys is not None:
             request["keys"] = keys
-        try:
-            return self._request("history", **request)
-        except _UseFallback:
-            raise OracleServiceError(
-                "unavailable", "daemon unreachable: client is in degraded mode"
-            ) from None
+        return self._admin(request)
 
     def sessions(self) -> dict:
         """The daemon's per-client-session telemetry table."""
-        try:
-            return self._request("sessions")
-        except _UseFallback:
-            raise OracleServiceError(
-                "unavailable", "daemon unreachable: client is in degraded mode"
-            ) from None
+        return self._admin({"op": "sessions"})
 
     @property
     def worker(self) -> int | None:
@@ -1343,6 +1306,28 @@ class PythiaClient:
             self.finish()
 
 
+def admin_request(address, request: dict, *, timeout: float | None = 10.0) -> dict:
+    """Send one admin request on a fresh connection; returns the reply.
+
+    The connection carries no session context, so behind a supervisor
+    the supervisor answers it with the whole tier's merged view; a
+    single daemon answers it like any request.  ``address`` is a Unix
+    socket path or a ``(host, port)`` tuple, as for
+    :class:`PythiaClient`.  The reply comes back as sent, ``ok``
+    included; EOF before it raises :class:`ProtocolError` and transport
+    errors propagate.
+    """
+    sock = PythiaClient._connect(address, timeout)
+    try:
+        write_frame(sock, request)
+        reply = read_frame(sock)
+    finally:
+        sock.close()
+    if reply is None:
+        raise ProtocolError("daemon closed the connection")
+    return reply
+
+
 class OraclePipeline:
     """Window-pipelined ``observe_predict`` stream (see
     :meth:`PythiaClient.pipeline`).
@@ -1371,8 +1356,6 @@ class OraclePipeline:
         self._submitted = 0
         #: per-submission outcomes, in submit order
         self.results: list = []
-        #: ``perf_counter()`` at each reply decode (bench instrumentation)
-        self.times: list[float] = []
         self._entered = False
 
     def __enter__(self) -> "OraclePipeline":
@@ -1380,7 +1363,7 @@ class OraclePipeline:
         for _ in range(3):
             if not client._degraded:
                 try:
-                    # runs hello/open_session/ring-replay through the
+                    # runs open_session/ring-replay through the
                     # normal retry machinery, before we take the lock
                     client._session(self._thread)
                 except _UseFallback:
@@ -1422,7 +1405,6 @@ class OraclePipeline:
                 name, payload, distance=distance, thread=self._thread,
                 with_time=with_time, require_match=require_match,
             ))
-            self.times.append(perf_counter())
             client._ring(self._thread).append((name, payload))
             return index
         self._buf += client._encode({
@@ -1463,7 +1445,6 @@ class OraclePipeline:
             self._buf.clear()
             for item in self._inflight:
                 response = client._read_reply(sock)
-                self.times.append(perf_counter())
                 if response.get("ok"):
                     self.results.append(
                         (response["matched"], client._pred(response))

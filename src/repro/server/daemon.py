@@ -39,7 +39,13 @@ Request ops
 ``observe``, ``observe_predict`` and ``predict`` also have a binary
 spelling: session ``sN`` travels as the number ``N`` and the event as
 the registry terminal the client resolved it to, so the same handler
-runs for both framings and predictions are byte-identical.
+runs for both framings and predictions are byte-identical.  The
+``open_session`` reply carries that number as ``snum``; its presence is
+how a client learns that the daemon takes binary frames, so there is no
+separate negotiation request.  Admin requests (``stats`` without a
+session, ``sessions``, ``metrics``, ``history``, ``profile_dump``) come
+on a connection of their own (:func:`repro.server.client.admin_request`),
+which is what lets a supervisor answer them for its whole tier.
 
 Request tracing
 ---------------
@@ -113,7 +119,6 @@ from repro.server.eventloop import ConnectionLoop
 from repro.server.protocol import (
     BIN_OPS,
     BIN_REQ,
-    DEFAULT_MAX_FRAME,
     F_MATCHED,
     F_REQUIRE_MATCH,
     F_UNKNOWN_EVENT,
@@ -132,6 +137,9 @@ from repro.server.store import ArtifactWriteError, TraceBundle, TraceStore
 __all__ = ["OracleServer", "RequestError", "serve_forever"]
 
 _log = get_logger("server")
+
+#: the largest tracker bound an ``open_session`` may ask for
+MAX_CANDIDATES_LIMIT = 4096
 
 #: metric families pre-registered at daemon start so `pythia-trace
 #: metrics` exposes them (at zero) before any instrumented code ran
@@ -353,8 +361,6 @@ class OracleServer:
         a free port (read the bound one from :attr:`address`).
     store:
         Shared :class:`TraceStore`; a private one is created by default.
-    max_frame:
-        Per-frame byte limit enforced on reads and writes.
     worker_id:
         Identity of this process inside a multi-worker deployment
         (:mod:`repro.server.supervisor`); advertised in ``ping`` /
@@ -371,8 +377,6 @@ class OracleServer:
         *,
         tcp_address: tuple[str, int] | None = None,
         store: TraceStore | None = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        max_candidates_limit: int = 4096,
         session_stats_capacity: int = DEFAULT_SESSION_CAPACITY,
         worker_id: int | None = None,
     ) -> None:
@@ -384,8 +388,6 @@ class OracleServer:
         self.tcp_address = tcp_address
         self.worker_id = worker_id
         self.store = store if store is not None else TraceStore()
-        self.max_frame = max_frame
-        self.max_candidates_limit = max_candidates_limit
         self._started = False
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -760,8 +762,7 @@ class OracleServer:
         if "prediction" in response:
             response["prediction"] = encode_prediction(response["prediction"])
         return encode_json_frame(
-            response, max_frame=self.max_frame,
-            extra=None if srv is None else ',"srv":[%d,%d]' % srv,
+            response, extra=None if srv is None else ',"srv":[%d,%d]' % srv
         )
 
     def _encode_error(
@@ -773,7 +774,6 @@ class OracleServer:
             return encode_bin_error(code, message, srv=srv)
         return encode_json_frame(
             {"ok": False, "code": code, "error": message},
-            max_frame=self.max_frame,
             extra=None if srv is None else ',"srv":[%d,%d]' % srv,
         )
 
@@ -837,11 +837,11 @@ class OracleServer:
             raise RequestError("bad_request", "'thread' must be an integer")
         max_candidates = request.get("max_candidates", 64)
         if not isinstance(max_candidates, int) or not (
-            1 <= max_candidates <= self.max_candidates_limit
+            1 <= max_candidates <= MAX_CANDIDATES_LIMIT
         ):
             raise RequestError(
                 "bad_request",
-                f"'max_candidates' must be in [1, {self.max_candidates_limit}]",
+                f"'max_candidates' must be in [1, {MAX_CANDIDATES_LIMIT}]",
             )
         flight_capacity = request.get("flight", 256)
         if not isinstance(flight_capacity, int) or not (
@@ -873,7 +873,8 @@ class OracleServer:
         out = {
             "session": sid,
             # numeric spelling for binary hot requests (protocol v2);
-            # old clients ignore the extra key
+            # its presence tells the client it may send binary frames,
+            # and old clients ignore the extra key
             "snum": num,
             "trace": bundle.path,
             "thread": thread,
@@ -1313,17 +1314,6 @@ class OracleServer:
             out["pid"] = os.getpid()
         return out
 
-    def _op_hello(self, request: dict, conn_id: int) -> dict:
-        """Protocol negotiation (v2).
-
-        A client sends ``{"op": "hello", "proto": 2}`` once per
-        connection; this daemon advertises the binary framing and
-        pipelining.  An old daemon answers ``unknown_op`` instead, and
-        the client stays on JSON for good — the whole fallback matrix
-        hangs off this one exchange.
-        """
-        return {"hello": True, "binary": True, "pipeline": True, "version": 2}
-
     #: ops still answered while draining: clients closing down cleanly
     #: and monitors watching the drain happen must not be locked out
     _DRAIN_OPS = frozenset({"close_session", "ping", "stats", "sessions", "metrics",
@@ -1346,5 +1336,4 @@ class OracleServer:
         "profile_dump": _op_profile_dump,
         "history": _op_history,
         "ping": _op_ping,
-        "hello": _op_hello,
     }

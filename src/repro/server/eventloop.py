@@ -66,10 +66,10 @@ class _Conn:
         "busy", "eof", "closing", "closed", "want_write",
     )
 
-    def __init__(self, sock: socket.socket, conn_id: int, max_frame: int) -> None:
+    def __init__(self, sock: socket.socket, conn_id: int) -> None:
         self.sock = sock
         self.conn_id = conn_id
-        self.parser = FrameParser(max_frame)
+        self.parser = FrameParser()
         self.out = bytearray()
         #: tracing binding ``[sid, last_rid]`` (see ``OracleServer.dispatch``)
         self.ctx: list = [None, 0]
@@ -196,7 +196,7 @@ class ConnectionLoop:
                 except OSError:
                     pass
                 continue
-            conn = _Conn(sock, conn_id, self._server.max_frame)
+            conn = _Conn(sock, conn_id)
             self._conns[conn_id] = conn
             self._sel.register(sock, selectors.EVENT_READ, conn)
 
@@ -282,7 +282,7 @@ class ConnectionLoop:
             conn.out += self._server.dispatch(frame, conn.conn_id, recv_ts, conn.ctx)
         except Exception:
             # last-ditch isolation (e.g. a reply that outgrew
-            # max_frame): drop only this connection
+            # the frame limit): drop only this connection
             self._drop(conn)
 
     # -- slow ops: one thread each ---------------------------------------

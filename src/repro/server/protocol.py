@@ -68,16 +68,18 @@ framing that coexists with JSON *per frame* on one connection:
 - replies pack matched/prediction into flags + a fixed-layout body
   (IEEE-754 doubles travel exactly); traced replies prepend the same
   ``(queue_us, handler_us)`` pair ``srv`` carries in JSON;
-- everything else — negotiation (``hello``), ``open_session``,
-  batches, admin ops — stays length-prefixed JSON, so old clients,
-  ``socat`` debugging and the admin/HTTP surfaces work unchanged.
+- everything else — ``open_session``, batches, admin ops — stays
+  length-prefixed JSON, so old clients, ``socat`` debugging and the
+  admin/HTTP surfaces work unchanged.
 
-Negotiation is one JSON ``hello`` request: a v2 daemon answers
-``{"ok": true, "binary": true}``, an old daemon answers ``unknown_op``
-and the client stays on JSON for good.  A binary frame reaching an old
-daemon reads as a length >= ``0xA7000000`` and is refused as
-:class:`FrameTooLarge` — loud, immediate, and impossible after a
-completed ``hello``.
+There is no negotiation request.  A binary request needs the session's
+number, and only a v2 daemon hands one out: its ``open_session`` reply
+carries ``snum``.  A client therefore sends binary frames on a session
+only after such a reply, and stays on JSON against a daemon whose reply
+has no ``snum``.  A binary frame reaching an old daemon would read as a
+length >= ``0xA7000000`` and be refused as :class:`FrameTooLarge` —
+loud and immediate, and a client that waits for ``snum`` never sends
+one.
 """
 
 from __future__ import annotations

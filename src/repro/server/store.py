@@ -246,16 +246,6 @@ class TraceStore:
         with self._lock:
             return len(self._entries)
 
-    def invalidate(self, path: str | os.PathLike) -> bool:
-        """Drop one cached bundle; True if it was cached."""
-        path = os.path.abspath(os.fspath(path))
-        with self._lock:
-            if path in self._entries:
-                del self._entries[path]
-                self.invalidations += 1
-                return True
-            return False
-
     def clear(self) -> None:
         """Drop every cached bundle."""
         with self._lock:

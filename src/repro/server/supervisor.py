@@ -37,14 +37,19 @@ A connection whose first frame is an *admin* op (``metrics`` /
 ``history``) with no session context is served by the supervisor
 itself, from one table (``_ADMIN``) through :meth:`OracleSupervisor.
 admin` — the method the HTTP endpoint calls too — with the daemon's
-own argument checks for ``profile_dump`` and ``history``.  It fans the
-request out to every live worker and merges the
-answers — ``metrics`` becomes one Prometheus exposition with a
-``worker`` label on every sample (:func:`repro.obs.metrics.
-merge_expositions`) plus the supervisor's own ``pythia_worker_*``
-gauges; ``sessions`` is the union table with a ``worker`` column;
-``stats`` sums counters across workers.  ``pythia-trace sessions`` and
-``pythia-trace top`` work unchanged against a supervisor.
+own argument checks for ``profile_dump`` and ``history``.  The CLI
+verbs and ``PythiaClient.server_stats`` / ``sessions`` / ``history``
+send such a connection (:func:`repro.server.client.admin_request`), so
+every surface gets the tier's answer.  The supervisor fans the request
+out to every live worker and merges the answers — ``metrics`` becomes
+one Prometheus exposition with a ``worker`` label on every sample
+(:func:`repro.obs.metrics.merge_expositions`) plus the supervisor's own
+``pythia_worker_*`` gauges; ``sessions`` is the union table with a
+``worker`` column; ``stats`` sums counters across workers.  When every
+worker that answers refuses with one code (``profiler_off``,
+``history_off``), the supervisor refuses with it too, as one daemon
+would.  ``pythia-trace sessions`` and ``pythia-trace top`` work
+unchanged against a supervisor.
 
 Each worker has a *control connection* to the supervisor: a socket
 pair the worker adopts into its event loop like any client
@@ -88,7 +93,6 @@ from repro.server.daemon import (
 )
 from repro.server.protocol import (
     BIN_MAGIC,
-    DEFAULT_MAX_FRAME,
     ConnectionClosed,
     FrameParser,
     ProtocolError,
@@ -105,6 +109,9 @@ _log = get_logger("supervisor")
 #: how much of an oversized first frame to peek before giving up on
 #: reading its session id (such connections round-robin instead)
 _PEEK_CAP = 64 * 1024
+#: seconds a first frame may take to arrive in full once its first
+#: byte is in, before the connection is routed without a session id
+_PEEK_DEADLINE = 2.0
 
 
 class HashRing:
@@ -245,8 +252,6 @@ class OracleSupervisor:
         workers: int | None = None,
         cache_size: int = 8,
         drain_deadline: float = 5.0,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        peek_deadline: float = 2.0,
     ) -> None:
         if (socket_path is None) == (tcp_address is None):
             raise ValueError("exactly one of socket_path / tcp_address required")
@@ -258,8 +263,6 @@ class OracleSupervisor:
         self.worker_count = n
         self.cache_size = cache_size
         self.drain_deadline = drain_deadline
-        self.max_frame = max_frame
-        self.peek_deadline = peek_deadline
         self.ring = HashRing(range(n))
         self._workers: dict[int, _Worker] = {wid: _Worker(wid) for wid in range(n)}
         self._listener: socket.socket | None = None
@@ -454,18 +457,22 @@ class OracleSupervisor:
         """``request`` on every live worker's control connection.
 
         Returns the ``ok`` replies by worker id; dead, failed and late
-        workers are left out.  The channel locks are taken in worker-id
+        workers are left out.  When no worker answers ``ok`` and every
+        worker that answered refused with one code, raises that refusal
+        as :class:`RequestError`, so the tier refuses as a daemon does.
+        The channel locks are taken in worker-id
         order, so concurrent fan-outs cannot deadlock.  Every worker
         gets the request before any reply is read, and all replies
         share one deadline: the workers answer concurrently, so a
         windowed ``profile_dump`` costs one window of wall time however
         many workers there are.
         """
-        frame = encode_json_frame(request, max_frame=self.max_frame)
+        frame = encode_json_frame(request)
         deadline = time.monotonic() + timeout
         held: list[_Control] = []
         asked: list[tuple[int, _Control]] = []
         out: dict[int, dict] = {}
+        refusals: dict[str, str] = {}  # code -> a message
         try:
             for wid in sorted(self._alive_ids()):
                 ctl = self._workers[wid].control
@@ -487,9 +494,16 @@ class OracleSupervisor:
                     continue
                 if response.get("ok"):
                     out[wid] = response
+                else:
+                    refusals[response.get("code", "internal")] = response.get(
+                        "error", "refused"
+                    )
         finally:
             for ctl in held:
                 ctl.lock.release()
+        if not out and len(refusals) == 1:
+            ((code, message),) = refusals.items()
+            raise RequestError(code, message)
         return out
 
     # ------------------------------------------------------------------
@@ -516,7 +530,7 @@ class OracleSupervisor:
         """The connection's first frame, without consuming any bytes.
 
         Blocks indefinitely for the first byte (an idle client costs
-        nothing), then gives the rest of the frame ``peek_deadline``
+        nothing), then gives the rest of the frame ``_PEEK_DEADLINE``
         seconds.  Returns ``None`` when the frame cannot be read (EOF,
         timeout, too large to peek, malformed) — the caller then
         round-robins the connection; the worker will produce the real
@@ -530,7 +544,7 @@ class OracleSupervisor:
         buf = conn.recv(1, socket.MSG_PEEK)
         if not buf or buf[0] == BIN_MAGIC:
             return None
-        deadline = time.monotonic() + self.peek_deadline
+        deadline = time.monotonic() + _PEEK_DEADLINE
         while True:
             try:
                 end, frame = parse_frame(buf, _PEEK_CAP)
@@ -634,10 +648,10 @@ class OracleSupervisor:
         conn.settimeout(None)
         while self._running.is_set():
             try:
-                request = read_frame(conn, max_frame=self.max_frame)
+                request = read_frame(conn)
                 if request is None:
                     return
-                write_frame(conn, self.admin(request), max_frame=self.max_frame)
+                write_frame(conn, self.admin(request))
             except (ProtocolError, OSError):
                 return
 

@@ -2,10 +2,11 @@
 
 A daemon and a supervisor check ``profile_dump``'s and ``history``'s
 arguments with one function each, so a request one refuses the other
-refuses with the same code; the HTTP endpoint maps a refusal to 400
-(``bad_request``), 500 (``internal``) or 503 (the service cannot answer
-a valid op: the profiler or the history ring is off), with the
-``{"code", "error"}`` as JSON.
+refuses with the same code; a supervisor whose workers all refuse a
+valid op with one code refuses with it too.  The HTTP endpoint maps a
+refusal to 400 (``bad_request``), 500 (``internal``) or 503 (the
+service cannot answer a valid op: the profiler or the history ring is
+off), with the ``{"code", "error"}`` as JSON.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import pytest
 
 from repro.obs import profiler as obs_profiler
 from repro.obs.httpd import ObservabilityHTTPServer
-from repro.server import OracleServer, OracleSupervisor, TraceStore
-from tests.server.test_supervisor import admin
+from repro.server import OracleServer, OracleSupervisor, TraceStore, admin_request
 
 BAD_REQUESTS = [
     {"op": "profile_dump", "hz": -1},
@@ -48,8 +48,8 @@ def both_roles(tmp_path_factory):
 )
 def test_daemon_and_supervisor_refuse_alike(both_roles, request_):
     srv, sup = both_roles
-    daemon_reply = admin(srv.socket_path, request_)
-    supervisor_reply = admin(sup.socket_path, request_)
+    daemon_reply = admin_request(srv.socket_path, request_)
+    supervisor_reply = admin_request(sup.socket_path, request_)
     assert daemon_reply["ok"] is False and supervisor_reply["ok"] is False
     assert supervisor_reply["code"] == daemon_reply["code"] == "bad_request"
 
@@ -97,3 +97,23 @@ def test_bad_history_window_is_400(served_daemon):
     _srv, httpd = served_daemon()
     status, body = http_refusal(httpd.url + "/history.json?window=-5")
     assert status == 400 and body["code"] == "bad_request"
+
+
+def test_supervisor_passes_a_unanimous_refusal_through(tmp_path, monkeypatch):
+    """With every worker's profiler and history ring off, a 1-worker
+    supervisor refuses as a daemon does, over frames and over HTTP."""
+    monkeypatch.setenv("PYTHIA_PROFILE_HZ", "0")
+    monkeypatch.setenv("PYTHIA_HISTORY", "0")
+    with OracleSupervisor(str(tmp_path / "sup.sock"), workers=1) as sup:
+        profile = admin_request(sup.socket_path, {"op": "profile_dump", "seconds": 0})
+        assert profile["ok"] is False and profile["code"] == "profiler_off"
+        history = admin_request(sup.socket_path, {"op": "history"})
+        assert history["ok"] is False and history["code"] == "history_off"
+        httpd = ObservabilityHTTPServer(sup).start()
+        try:
+            status, body = http_refusal(httpd.url + "/history.json")
+            assert status == 503 and body["code"] == "history_off"
+            status, body = http_refusal(httpd.url + "/profile")
+            assert status == 503 and body["code"] == "profiler_off"
+        finally:
+            httpd.stop()

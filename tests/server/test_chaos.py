@@ -33,7 +33,13 @@ import repro
 from repro.core.oracle import Pythia
 from repro.obs import metrics as obs_metrics
 from repro.runtime.faults import FaultyTransport
-from repro.server import OracleServer, PythiaClient, RetryPolicy, TraceStore
+from repro.server import (
+    OracleServer,
+    PythiaClient,
+    RetryPolicy,
+    TraceStore,
+    admin_request,
+)
 from repro.server.protocol import read_frame, write_frame
 
 #: fights hard but fast: suited to in-test daemons that restart quickly
@@ -562,16 +568,6 @@ class TestRetryPolicy:
         assert client.degraded and client.counters["retries"] == 1
         client.finish()
 
-    def test_retry_none_disables_reconnect_but_not_fallback(self, tmp_path, trace_path):
-        client = PythiaClient(
-            trace_path, socket=str(tmp_path / "never.sock"),
-            retry=None, fallback="local",
-        )
-        client.event("prologue")  # first event: tracker still syncing
-        assert client.event("a", None) is True
-        assert client.degraded
-        client.finish()
-
 
 class TestConcurrentClientsUnderFaults:
     def test_many_threads_share_one_reconnecting_client(self, tmp_path, trace_path):
@@ -669,12 +665,7 @@ class TestTracingUnderFaults:
             assert client.session_id == sid
             assert client.trace_context()["rid"] > rid_before_crash
             # daemon #2's table: same sid, rids advanced monotonically
-            sock = raw_connect(sock_path)
-            try:
-                write_frame(sock, {"op": "sessions"})
-                table = read_frame(sock)
-            finally:
-                sock.close()
+            table = admin_request(sock_path, {"op": "sessions"})
             (row,) = [r for r in table["sessions"] if r["sid"] == sid]
             assert row["rid_regressions"] == 0
             assert row["last_rid"] == client.trace_context()["rid"]
@@ -695,17 +686,6 @@ class TestWorkerCrashUnderSupervisor:
     regressions recorded anywhere.  Meanwhile the monitor respawns the
     dead slot under the same worker id.
     """
-
-    @staticmethod
-    def _admin(sock_path: str, request: dict) -> dict:
-        sock = raw_connect(sock_path)
-        try:
-            write_frame(sock, request)
-            response = read_frame(sock)
-        finally:
-            sock.close()
-        assert response is not None and response.get("ok", True)
-        return response
 
     def test_kill9_one_worker_of_four_sessions_resync(self, tmp_path, trace_path):
         from repro.server import OracleSupervisor
@@ -736,7 +716,8 @@ class TestWorkerCrashUnderSupervisor:
                 cm, cp = client.event_and_predict(name, payload, distance=4)
                 assert (lm, pred_key(lp)) == (cm, pred_key(cp))
             # find and SIGKILL the worker hosting the session
-            info = self._admin(sock_path, {"op": "workers", "sid": "chaos-victim"})
+            info = admin_request(sock_path, {"op": "workers", "sid": "chaos-victim"})
+            assert info["ok"]
             home = info["home"]
             assert client.worker == home
             victim_pid = info["workers"][str(home)]["pid"]
@@ -754,19 +735,23 @@ class TestWorkerCrashUnderSupervisor:
             # the monitor respawned the slot: same wid, new pid, alive
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                row = self._admin(sock_path, {"op": "workers"})["workers"][str(home)]
+                table = admin_request(sock_path, {"op": "workers"})
+                assert table["ok"]
+                row = table["workers"][str(home)]
                 if row["alive"] and row["pid"] != victim_pid:
                     break
                 time.sleep(0.05)
             assert row["alive"] and row["pid"] != victim_pid
             assert row["restarts"] == 1
             # no rid ever regressed, on any worker's table
-            table = self._admin(sock_path, {"op": "sessions"})
+            table = admin_request(sock_path, {"op": "sessions"})
+            assert table["ok"]
             (srow,) = [r for r in table["sessions"] if r["sid"] == "chaos-victim"]
             assert srow["rid_regressions"] == 0
             assert srow["worker"] == client.worker
             # all workers served from one shared compiled artifact
-            stats = self._admin(sock_path, {"op": "stats"})
+            stats = admin_request(sock_path, {"op": "stats"})
+            assert stats["ok"]
             assert len(stats["store"]["artifacts"]) == 1
             client.finish()
         finally:

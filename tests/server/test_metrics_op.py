@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import socket
-
 import pytest
 
 from repro.experiments.harness import mpi_record_run
 from repro.obs import metrics as obs_metrics
-from repro.server import OracleServer, PythiaClient, TraceStore
-from repro.server.protocol import read_frame, write_frame
+from repro.server import OracleServer, PythiaClient, TraceStore, admin_request
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +33,8 @@ def server(tmp_path, fresh_registry):
 
 
 def scrape(server) -> str:
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(10.0)
-    sock.connect(server.socket_path)
-    try:
-        write_frame(sock, {"op": "metrics"})
-        response = read_frame(sock)
-    finally:
-        sock.close()
-    assert response is not None and response["ok"]
+    response = admin_request(server.socket_path, {"op": "metrics"})
+    assert response["ok"]
     return response["text"]
 
 

@@ -1,4 +1,4 @@
-"""Protocol v2: negotiation, framing equivalence, pipelining, routing.
+"""Protocol v2: framing choice, framing equivalence, pipelining, routing.
 
 The acceptance bar for the binary framing is *byte-identical*
 predictions: the same event stream, pushed over length-prefixed JSON,
@@ -9,13 +9,13 @@ exactly the predictions the in-process oracle produces.
 from __future__ import annotations
 
 import socket
-import threading
+import time
 
 import pytest
 
 from repro.core.oracle import Pythia
 from repro.experiments.harness import mpi_record_run
-from repro.server import OracleServer, PythiaClient, TraceStore
+from repro.server import OracleServer, PythiaClient, TraceStore, admin_request
 from repro.server.client import OracleServiceError
 from repro.server.daemon import OracleServer as _Server
 from repro.server.protocol import (
@@ -80,21 +80,25 @@ class TestHelloNegotiation:
             client.event("warmup")
             assert client._proto_state == "json"
 
-    def test_hello_reply_advertises_v2(self, npb_trace, server):
-        conn = socket.socket(socket.AF_UNIX)
-        conn.connect(server.socket_path)
-        conn.settimeout(5.0)
-        write_frame(conn, {"op": "hello", "proto": 2})
-        reply = read_frame(conn)
-        conn.close()
-        assert reply["ok"] is True
-        assert reply["binary"] is True and reply["pipeline"] is True
+    @staticmethod
+    def _as_old_daemon(monkeypatch):
+        """Make the daemon answer open_session as one without the binary
+        framing does: with no ``snum`` in the reply."""
+        handler = _Server._HANDLERS["open_session"]
+
+        def open_session_without_snum(self, request, conn_id):
+            reply = handler(self, request, conn_id)
+            reply.pop("snum")
+            return reply
+
+        monkeypatch.setitem(
+            _Server._HANDLERS, "open_session", open_session_without_snum
+        )
 
     def test_auto_client_pins_json_against_old_daemon(
         self, npb_trace, server, monkeypatch
     ):
-        # an old daemon has no "hello" handler and answers unknown_op
-        monkeypatch.delitem(_Server._HANDLERS, "hello")
+        self._as_old_daemon(monkeypatch)
         with PythiaClient(npb_trace, socket=server.socket_path) as client:
             matched = client.event("warmup")
             assert client._proto_state == "json"
@@ -103,13 +107,18 @@ class TestHelloNegotiation:
     def test_binary_demand_fails_loud_against_old_daemon(
         self, npb_trace, server, monkeypatch
     ):
-        monkeypatch.delitem(_Server._HANDLERS, "hello")
+        self._as_old_daemon(monkeypatch)
         client = PythiaClient(
             npb_trace, socket=server.socket_path, protocol="binary"
         )
         with pytest.raises(OracleServiceError) as err:
             client.event("warmup")
         assert err.value.code == "protocol"
+        # the client hung up, so the session it opened did not outlive it
+        deadline = time.monotonic() + 5.0
+        while admin_request(server.socket_path, {"op": "stats"})["sessions_active"]:
+            assert time.monotonic() < deadline, "refused session never reaped"
+            time.sleep(0.01)
         client.finish()
 
     def test_invalid_protocol_argument_rejected(self, npb_trace):
@@ -285,9 +294,7 @@ class TestSupervisorPeekBothFramings:
 
     @pytest.fixture
     def router(self):
-        sup = OracleSupervisor.__new__(OracleSupervisor)
-        sup.peek_deadline = 2.0
-        return sup
+        return OracleSupervisor.__new__(OracleSupervisor)
 
     @pytest.fixture
     def pair(self):

@@ -31,7 +31,7 @@ import pytest
 from repro.core.mmap_grammar import ensure_artifact
 from repro.core.oracle import Pythia
 from repro.obs.metrics import parse_prometheus_text
-from repro.server import OracleSupervisor, PythiaClient
+from repro.server import OracleSupervisor, PythiaClient, admin_request
 from repro.server.protocol import read_frame, write_frame
 from repro.server.supervisor import HashRing
 from tests.server.test_chaos import (
@@ -41,18 +41,6 @@ from tests.server.test_chaos import (
     record_loop_trace,
     spawn_serve,
 )
-
-
-def admin(sock_path: str, request: dict) -> dict:
-    """One supervisor-served request on a fresh connection."""
-    sock = raw_connect(sock_path)
-    try:
-        write_frame(sock, request)
-        response = read_frame(sock)
-    finally:
-        sock.close()
-    assert response is not None
-    return response
 
 
 def sid_for_worker(sup: OracleSupervisor, wid: int, tag: str = "s") -> str:
@@ -118,7 +106,7 @@ def tier(tmp_path_factory):
 
 class TestRoutedServing:
     def test_ping_answers_as_supervisor(self, tier):
-        response = admin(tier.sock, {"op": "ping"})
+        response = admin_request(tier.sock, {"op": "ping"})
         assert response["pong"] and response["role"] == "supervisor"
         assert response["workers"] == 2
 
@@ -147,7 +135,7 @@ class TestRoutedServing:
             client.close()
         assert seen == [1, 1, 1]
         # the supervisor's own routing answer agrees
-        response = admin(tier.sock, {"op": "workers", "sid": sid})
+        response = admin_request(tier.sock, {"op": "workers", "sid": sid})
         assert response["home"] == 1
 
     def test_distinct_sids_use_both_workers(self, tier):
@@ -160,13 +148,13 @@ class TestRoutedServing:
             client.close()
 
     def test_workers_op_reports_live_processes(self, tier):
-        table = admin(tier.sock, {"op": "workers"})["workers"]
+        table = admin_request(tier.sock, {"op": "workers"})["workers"]
         assert set(table) == {"0", "1"}
         pids = {row["pid"] for row in table.values()}
         assert len(pids) == 2 and all(row["alive"] for row in table.values())
 
     def test_merged_metrics_label_every_sample_by_worker(self, tier):
-        page = admin(tier.sock, {"op": "metrics"})["text"]
+        page = admin_request(tier.sock, {"op": "metrics"})["text"]
         parsed = parse_prometheus_text(page)
         # every sample is worker-labeled except the supervisor's own
         # process gauges (they describe the supervisor process itself)
@@ -200,7 +188,7 @@ class TestRoutedServing:
             client = PythiaClient(tier.trace, socket=tier.sock, session_id=sid)
             client.event(*tier.events[0])
             client.close()
-        response = admin(tier.sock, {"op": "sessions"})
+        response = admin_request(tier.sock, {"op": "sessions"})
         rows = {row["sid"]: row for row in response["sessions"]}
         for sid, wid in by_worker.items():
             assert rows[sid]["worker"] == wid
@@ -216,7 +204,7 @@ class TestRoutedServing:
             )
             client.event(*tier.events[0])
             client.close()
-        stats = admin(tier.sock, {"op": "stats"})
+        stats = admin_request(tier.sock, {"op": "stats"})
         assert stats["role"] == "supervisor"
         assert set(stats["workers"]) == {"0", "1"}
         store = stats["store"]
@@ -283,7 +271,7 @@ class TestLifecycle:
     def test_context_manager_cleans_up(self, tmp_path):
         sock = str(tmp_path / "sup.sock")
         with OracleSupervisor(sock, workers=1, drain_deadline=1.0) as sup:
-            assert admin(sock, {"op": "ping"})["pong"]
+            assert admin_request(sock, {"op": "ping"})["pong"]
             procs = [w.proc for w in sup._workers.values()]
         assert all(p.poll() is not None for p in procs)
         assert not os.path.exists(sock)
@@ -297,7 +285,7 @@ class TestLifecycle:
         sock = str(tmp_path / "sup.sock")
         proc = spawn_serve(sock, "--workers", "2", "--drain-deadline", "2")
         try:
-            table = admin(sock, {"op": "workers"})["workers"]
+            table = admin_request(sock, {"op": "workers"})["workers"]
             pids = [row["pid"] for row in table.values()]
             conn = raw_connect(sock)
             write_frame(conn, {"op": "open_session", "trace": trace_path})

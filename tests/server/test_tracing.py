@@ -15,17 +15,17 @@ dumped journals.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 
 import pytest
 
 from repro.experiments.harness import mpi_record_run
+from repro.obs import journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.analysis import TraceTable
-from repro.server import OracleServer, PythiaClient, TraceStore
+from repro.server import OracleServer, PythiaClient, TraceStore, admin_request
 from repro.server.protocol import read_frame, write_frame
 
 
@@ -49,20 +49,6 @@ def server(tmp_path, fresh_registry):
     sock = str(tmp_path / "oracle.sock")
     with OracleServer(sock, store=TraceStore(capacity=4)) as srv:
         yield srv
-
-
-def raw_request(server, request: dict) -> dict:
-    """One frame as a ctx-less legacy client would send it."""
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(10.0)
-    sock.connect(server.socket_path)
-    try:
-        write_frame(sock, request)
-        response = read_frame(sock)
-    finally:
-        sock.close()
-    assert response is not None
-    return response
 
 
 def drive(client, n=32, thread=0):
@@ -124,11 +110,11 @@ class TestContextPropagation:
             assert client.timing_report() == {}
             assert client.trace_context()["enabled"] is False
         # and the daemon tracked nothing for it
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         assert table["tracked"] == 0
 
     def test_legacy_request_without_ctx_gets_no_srv(self, server):
-        response = raw_request(server, {"op": "ping"})
+        response = admin_request(server.socket_path, {"op": "ping"})
         assert response["ok"]
         assert "srv" not in response
 
@@ -139,10 +125,10 @@ class TestContextPropagation:
             {"sid": 7, "rid": 1},          # non-string sid
             "not a dict",
         ):
-            response = raw_request(server, {"op": "ping", "ctx": ctx})
+            response = admin_request(server.socket_path, {"op": "ping", "ctx": ctx})
             assert response["ok"], ctx
             assert "srv" not in response, ctx
-        assert raw_request(server, {"op": "sessions"})["tracked"] == 0
+        assert admin_request(server.socket_path, {"op": "sessions"})["tracked"] == 0
 
     def test_bound_connection_traces_bare_requests_implicitly(self, server):
         """A full ``ctx`` binds the identity to the connection; later
@@ -162,7 +148,7 @@ class TestContextPropagation:
                 assert len(response["srv"]) == 2
         finally:
             sock.close()
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         (row,) = table["sessions"]
         assert row["sid"] == "bound"
         assert row["requests"] == 4
@@ -186,7 +172,7 @@ class TestContextPropagation:
             read_frame(sock)
         finally:
             sock.close()
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         (row,) = table["sessions"]
         assert row["last_rid"] == 41
         assert row["rid_regressions"] == 0
@@ -200,10 +186,10 @@ class TestContextPropagation:
             {"sid": "ok", "rid": True},  # bool is not a rid
             {"sid": "ok"},               # absent rid
         ):
-            response = raw_request(server, {"op": "ping", "ctx": ctx})
+            response = admin_request(server.socket_path, {"op": "ping", "ctx": ctx})
             assert response["ok"], ctx
             assert len(response["srv"]) == 2, ctx
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         (row,) = table["sessions"]
         assert row["sid"] == "ok"
         assert row["requests"] == 3
@@ -224,7 +210,7 @@ class TestContextPropagation:
             npb_trace, socket=server.socket_path, session_id="my-worker-1"
         ) as client:
             drive(client, 2)
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         assert [row["sid"] for row in table["sessions"]] == ["my-worker-1"]
 
     def test_invalid_session_id_rejected(self, npb_trace, server):
@@ -242,7 +228,7 @@ class TestSessionsOp:
             with PythiaClient(npb_trace, socket=server.socket_path) as b:
                 drive(a, 8)
                 drive(b, 4)
-                table = raw_request(server, {"op": "sessions"})
+                table = admin_request(server.socket_path, {"op": "sessions"})
                 rows = {row["sid"]: row for row in table["sessions"]}
                 assert set(rows) == {a.session_id, b.session_id}
                 assert rows[a.session_id]["requests"] > rows[b.session_id]["requests"]
@@ -261,7 +247,7 @@ class TestSessionsOp:
             assert 0.0 <= row["hit_rate"] <= 1.0
             assert row["observed"] >= 32
         # after close the row survives (telemetry) but the join is gone
-        table = raw_request(server, {"op": "sessions"})
+        table = admin_request(server.socket_path, {"op": "sessions"})
         (row,) = table["sessions"]
         assert row["live_sessions"] == []
         assert "hit_rate" not in row
@@ -296,7 +282,7 @@ class TestSessionsOp:
             for sid in sids:
                 with PythiaClient(npb_trace, socket=sock, session_id=sid) as c:
                     drive(c, 2)
-            text = raw_request(server, {"op": "metrics"})["text"]
+            text = admin_request(server.socket_path, {"op": "metrics"})["text"]
             # only the 2 most recent sids keep series: eviction pruned the rest
             assert 'session="worker-3"' in text
             assert 'session="worker-2"' in text
@@ -304,7 +290,7 @@ class TestSessionsOp:
             assert 'session="worker-1"' not in text
             assert "pythia_session_requests_total" in text
             assert "pythia_session_last_rid" in text
-            table = raw_request(server, {"op": "sessions"})
+            table = admin_request(server.socket_path, {"op": "sessions"})
             assert table["tracked"] == 2
             assert table["evicted"] == 2
 
@@ -373,26 +359,7 @@ class TestCorrelatedTrace:
         # CI's integration job uploads the merged trace as an artifact
         target = os.environ.get("PYTHIA_CHROME_TRACE")
         if target:
-            merged = table.decompose()
-            with open(target, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "traceEvents": [
-                            {
-                                "name": row["name"], "ph": "X",
-                                "ts": row["ts"], "dur": row["dur"],
-                                "pid": row["pid"] or 0, "tid": row["tid"] or 0,
-                                "args": {
-                                    k: v for k, v in row.items()
-                                    if k not in ("name", "ts", "dur", "pid", "tid")
-                                    and v is not None
-                                },
-                            }
-                            for row in merged
-                        ]
-                    },
-                    fh,
-                )
+            journal.dump(target, table.decompose().to_chrome_trace())
 
     def test_flight_journal_tagged_with_client_sid(self, npb_trace, server):
         """The daemon names per-session flight recorders after the
@@ -411,6 +378,6 @@ class TestQueueMetric:
     def test_queue_histogram_exposed(self, npb_trace, server):
         with PythiaClient(npb_trace, socket=server.socket_path) as client:
             drive(client, 4)
-        text = raw_request(server, {"op": "metrics"})["text"]
+        text = admin_request(server.socket_path, {"op": "metrics"})["text"]
         assert "pythia_server_queue_seconds_count" in text
         assert "pythia_server_queue_seconds_sum" in text
