@@ -8,8 +8,6 @@ fall) and prints the regenerated rows under ``-s``.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.experiments.harness import mpi_record_run

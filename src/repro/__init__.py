@@ -14,24 +14,20 @@ Public entry points:
   paper's evaluation section;
 - :mod:`repro.server` — the oracle service (a multi-client prediction
   daemon with a shared trace store) and its :class:`PythiaClient`.
+
+The names below are re-exported from the modules that define them.
+:mod:`repro.core`, :mod:`repro.obs` and :mod:`repro.runtime` re-export
+nothing, so importing an interposer loads the oracle and nothing else.
 """
 
-from repro.core import (
-    Event,
-    EventRegistry,
-    FrozenGrammar,
-    Grammar,
-    GrammarError,
-    Prediction,
-    Pythia,
-    PythiaPredict,
-    PythiaRecord,
-    TimingTable,
-    Trace,
-    TraceFormatError,
-    load_trace,
-    save_trace,
-)
+from repro.core.events import Event, EventRegistry
+from repro.core.frozen import FrozenGrammar
+from repro.core.grammar import Grammar, GrammarError
+from repro.core.oracle import Pythia
+from repro.core.predict import Prediction, PythiaPredict
+from repro.core.record import PythiaRecord
+from repro.core.timing import TimingTable
+from repro.core.trace_file import Trace, TraceFormatError, load_trace, save_trace
 
 __version__ = "1.0.0"
 

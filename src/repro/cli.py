@@ -206,7 +206,8 @@ def _cmd_top(args) -> int:
     )
     status = console.run(iterations=1 if args.once else args.iterations)
     if status:
-        print(f"error: the last poll of {where} failed", file=sys.stderr)
+        print(f"error: the last poll of {where} failed: {console.last_error}",
+              file=sys.stderr)
     return status
 
 

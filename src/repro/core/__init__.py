@@ -1,6 +1,9 @@
 """Core PYTHIA oracle library.
 
-This package implements the paper's primary contribution:
+This package implements the paper's primary contribution.  It
+re-exports nothing: import each name from the module that defines it
+(``from repro.core.oracle import Pythia``), or take the public names
+from :mod:`repro`.
 
 - :mod:`repro.core.events` — event model and interning registry;
 - :mod:`repro.core.grammar` — on-the-fly grammar reduction of event
@@ -10,51 +13,15 @@ This package implements the paper's primary contribution:
 - :mod:`repro.core.frozen` — immutable grammar snapshot used for
   prediction;
 - :mod:`repro.core.progress` — progress sequences (§II-B);
+- :mod:`repro.core.successor` — the memoized successor machine over a
+  frozen grammar;
 - :mod:`repro.core.predict` — PYTHIA-PREDICT (§II-B, §II-C);
+- :mod:`repro.core.explain` — the provenance of a prediction;
 - :mod:`repro.core.timing` — duration estimation (§II-C);
 - :mod:`repro.core.trace_file` — on-disk trace format;
+- :mod:`repro.core.mmap_grammar` — the compiled ``.pygx`` grammar
+  artifact the oracle daemon maps;
+- :mod:`repro.core.analysis` — post-hoc grammar statistics
+  (``pythia-trace dump``);
 - :mod:`repro.core.oracle` — the user-facing facade.
 """
-
-from repro.core.analysis import GrammarStats, analyze, loop_structure, terminal_histogram
-from repro.core.compare import Divergence, ReplayReport, follow, similarity
-from repro.core.events import Event, EventRegistry
-from repro.core.grammar import Grammar, GrammarError
-from repro.core.record import PythiaRecord
-from repro.core.frozen import FrozenGrammar
-from repro.core.predict import Prediction, PythiaPredict
-from repro.core.timing import TimingTable
-from repro.core.trace_file import (
-    FORMAT_VERSION,
-    Trace,
-    TraceFormatError,
-    load_trace,
-    save_trace,
-)
-from repro.core.oracle import Pythia
-
-__all__ = [
-    "Divergence",
-    "Event",
-    "FORMAT_VERSION",
-    "TraceFormatError",
-    "EventRegistry",
-    "GrammarStats",
-    "ReplayReport",
-    "analyze",
-    "follow",
-    "loop_structure",
-    "similarity",
-    "terminal_histogram",
-    "FrozenGrammar",
-    "Grammar",
-    "GrammarError",
-    "Prediction",
-    "Pythia",
-    "PythiaPredict",
-    "PythiaRecord",
-    "TimingTable",
-    "Trace",
-    "load_trace",
-    "save_trace",
-]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.frozen import ROOT, FrozenGrammar, decode_rule, is_rule_sym
 
-__all__ = ["GrammarStats", "analyze", "loop_structure"]
+__all__ = ["GrammarStats", "analyze", "loop_structure", "terminal_histogram"]
 
 
 @dataclass(frozen=True, slots=True)

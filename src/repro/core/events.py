@@ -15,7 +15,7 @@ inside the trace file so that a later execution resolves the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,7 +118,3 @@ class EventRegistry:
                     payload = tuple(payload)
             reg.intern(Event(name, payload))
         return reg
-
-    def merged_names(self) -> Mapping[int, str]:
-        """Return {terminal id: printable name} for every known event."""
-        return {i: str(ev) for i, ev in enumerate(self._by_id)}

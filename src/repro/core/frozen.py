@@ -184,10 +184,6 @@ class FrozenGrammar:
             self._machine = m
         return m
 
-    def symbol_at(self, rid: int, idx: int) -> tuple[int, int]:
-        """Return ``(symbol, exponent)`` at position ``idx`` of rule ``rid``."""
-        return self.bodies[rid][idx]
-
     def body_len(self, rid: int) -> int:
         """Number of body elements of rule ``rid``."""
         return len(self.bodies[rid])

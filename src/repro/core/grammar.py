@@ -30,7 +30,7 @@ inline), which is operationally equivalent to the paper's recursive
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.core.symbols import Rule, Symbol, SymbolUse, is_terminal
 
@@ -156,13 +156,6 @@ class Grammar:
             body = " ".join(sym_str(n) for n in rule) or "<empty>"
             lines.append(f"{rule.name} -> {body}")
         return "\n".join(lines)
-
-    def iter_rules(self) -> Iterator[Rule]:
-        """Iterate over live rules (root first)."""
-        yield self.root
-        for rid in sorted(self.rules):
-            if rid != self.root.rid:
-                yield self.rules[rid]
 
     # ------------------------------------------------------------------
     # invariant checking (used by the test suite)

@@ -23,12 +23,12 @@ from repro.core.explain import Explanation
 from repro.core.predict import Prediction, PythiaPredict
 from repro.core.record import PythiaRecord
 from repro.core.trace_file import Trace, load_trace
-from repro.obs import span
 from repro.obs.accuracy import aggregate_stats
 from repro.obs.drift import DriftBaseline, DriftMonitor
 from repro.obs.flight import FlightRecorder
 from repro.obs.log import get_logger
 from repro.obs.profiler import tag_op
+from repro.obs.spans import span
 
 __all__ = ["Pythia"]
 

@@ -36,7 +36,7 @@ multiplications and produce byte-identical weights.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.frozen import ROOT, FrozenGrammar, decode_rule, is_rule_sym
 
@@ -229,10 +229,3 @@ def suffix_key(chain: Chain, depth: int | None = None) -> tuple[tuple[int, int],
 def chain_is_complete(chain: Chain) -> bool:
     """True if the chain reaches the root rule."""
     return bool(chain) and chain[-1][0] == ROOT
-
-
-def extend_matches(
-    fg: FrozenGrammar, chains: Iterable[Chain], terminal: int
-) -> list[Chain]:
-    """Filter helper used in tests: chains whose bottom terminal matches."""
-    return [c for c in chains if c is not END and terminal_of(fg, c) == terminal]

@@ -17,7 +17,7 @@ from repro.core.frozen import FrozenGrammar
 from repro.core.grammar import Grammar
 from repro.core.timing import TimingTable
 from repro.obs import metrics as obs_metrics
-from repro.obs import span
+from repro.obs.spans import span
 
 #: registry flushes happen every this many recorded events (the hot path
 #: only bumps a local int; see the README's overhead benchmark)

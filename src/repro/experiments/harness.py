@@ -19,8 +19,8 @@ from repro.apps.base import AppSpec, get_app
 from repro.apps.lulesh_omp import lulesh_omp_run
 from repro.core.oracle import Pythia
 from repro.core.trace_file import Trace
-from repro.obs import span
 from repro.obs.log import get_logger
+from repro.obs.spans import span
 from repro.machines import MachineSpec, PARAVANCE
 from repro.mpi.launcher import MPIRun, mpirun
 from repro.mpi.network import NetworkModel
@@ -41,27 +41,9 @@ __all__ = [
     "omp_predict_run",
     "omp_record_run",
     "omp_vanilla_run",
-    "predict_oracle",
 ]
 
 _log = get_logger("experiments")
-
-
-def predict_oracle(trace_path: str, oracle_socket=None):
-    """A predict-mode oracle: in-process, or remote via the daemon.
-
-    With ``oracle_socket`` (a Unix socket path or ``(host, port)``
-    tuple) the returned oracle is a
-    :class:`~repro.server.client.PythiaClient` talking to a running
-    ``pythia-trace serve`` daemon; otherwise the ordinary in-process
-    :class:`Pythia`.  Both expose the same facade, so every predict
-    runner below accepts the same one argument.
-    """
-    if oracle_socket is None:
-        return Pythia(trace_path, mode="predict")
-    from repro.server.client import PythiaClient
-
-    return PythiaClient(trace_path, socket=oracle_socket)
 
 
 def default_network(app: AppSpec, ranks: int) -> NetworkModel:
@@ -163,20 +145,12 @@ def mpi_predict_run(
     distances: Sequence[int] = (1,),
     sample_stride: int = 1,
     error_rate: float = 0.0,
-    oracle_socket=None,
 ) -> MPIExperimentResult:
-    """Run against a reference trace with predictions at sync points.
-
-    ``oracle_socket`` switches the whole run to a shared oracle daemon
-    (see :func:`predict_oracle`).
-    """
+    """Run against a reference trace with predictions at sync points."""
     app = get_app(app_name)
     ranks = ranks or app.default_ranks
-    oracle = predict_oracle(trace_path, oracle_socket)
-    # the client has daemon-side drift/flight; only the in-process
-    # facade needs it enabled here
-    if hasattr(oracle, "enable_drift"):
-        oracle.enable_drift()
+    oracle = Pythia(trace_path, mode="predict")
+    oracle.enable_drift()
     with span("experiment.mpi_predict", app=app.name, ws=ws, ranks=ranks):
         run = _run(
             app, ws, ranks, seed,
@@ -194,7 +168,7 @@ def mpi_predict_run(
             scores[d].incorrect += s.incorrect
             scores[d].missing += s.missing
     report = oracle.stats()
-    drift = oracle.drift_report() if hasattr(oracle, "drift_report") else {}
+    drift = oracle.drift_report()
     _log.info(
         "mpi_predict_done", app=app.name, ws=ws, ranks=ranks,
         hit_rate=report.get("hit_rate"),
@@ -278,16 +252,11 @@ def omp_predict_run(
     max_threads: int | None = None,
     error_rate: float = 0.0,
     seed: int = 0,
-    oracle_socket=None,
 ) -> OMPExperimentResult:
-    """PYTHIA-PREDICT driving the adaptive thread-count policy.
-
-    ``oracle_socket`` switches the run to a shared oracle daemon (see
-    :func:`predict_oracle`).
-    """
+    """PYTHIA-PREDICT driving the adaptive thread-count policy."""
     max_threads = max_threads or machine.cores
-    oracle = predict_oracle(trace_path, oracle_socket)
-    monitor = oracle.enable_drift() if hasattr(oracle, "enable_drift") else None
+    oracle = Pythia(trace_path, mode="predict")
+    monitor = oracle.enable_drift()
     injector = ErrorInjector(error_rate, seed=seed) if error_rate else None
     shim = OMPRuntimeSystem(oracle, error_injector=injector)
     policy = AdaptivePythiaPolicy(
@@ -300,7 +269,7 @@ def omp_predict_run(
     stats = dict(shim.stats)
     stats.update(policy.decisions)
     report = oracle.stats()
-    drift = oracle.drift_report() if hasattr(oracle, "drift_report") else {}
+    drift = oracle.drift_report()
     _log.info(
         "omp_predict_done", machine=machine.name, size=size,
         hit_rate=report.get("hit_rate"), drift_state=drift.get("state"),

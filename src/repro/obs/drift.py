@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.predict import PythiaPredict
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 
@@ -411,10 +412,6 @@ def baseline_from_replay(
     sustain.  Entropy is the EWMA a monitor with the same ``stride`` /
     ``alpha`` would have settled on.
     """
-    # imported lazily: repro.core.predict imports repro.obs at module
-    # load, so a top-level import here would be circular
-    from repro.core.predict import PythiaPredict
-
     tracker = PythiaPredict(grammar, timing, max_candidates=max_candidates)
     probe = DriftMonitor(stride=stride, alpha=alpha)
     tracker.attach_drift(probe)

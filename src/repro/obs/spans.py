@@ -2,7 +2,7 @@
 
 Usage::
 
-    from repro.obs import span, span_recording
+    from repro.obs.spans import span, span_recording
     with span_recording() as rec:          # or enable_spans() globally
         with span("record.compress", app="bt"):
             ...work...

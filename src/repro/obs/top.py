@@ -105,6 +105,8 @@ class OpsConsole:
         self._prev_t: float | None = None
         #: sid -> request count at the previous frame (per-session req/s)
         self._prev_requests: dict[str, int] = {}
+        #: why the last poll failed (None after a good poll)
+        self.last_error: Exception | None = None
 
     # -- rendering ------------------------------------------------------
 
@@ -244,6 +246,7 @@ class OpsConsole:
         try:
             snapshot = self.poll()
         except Exception as exc:  # daemon down: report, keep polling
+            self.last_error = exc
             self.out.write(
                 (_CLEAR if self.clear else "")
                 + f"{self.title} — daemon unreachable: {exc}\n"
@@ -253,6 +256,7 @@ class OpsConsole:
             self._prev_t = None
             self._prev_requests = {}
             return False
+        self.last_error = None
         frame = self.frame(snapshot, dt)
         self._prev_t = now
         self.out.write((_CLEAR if self.clear else "") + frame)

@@ -1,5 +1,6 @@
 """Runtime systems that consult PYTHIA.
 
+This package re-exports nothing: import each shim from its module.
 Two runtime-system shims mirror §III-B of the paper:
 
 - :class:`repro.runtime.mpi_interpose.MPIRuntimeSystem` — intercepts
@@ -15,15 +16,3 @@ Two runtime-system shims mirror §III-B of the paper:
 and, via :class:`~repro.runtime.faults.FaultyTransport`, deterministic
 transport faults between a client and the oracle daemon.
 """
-
-from repro.runtime.faults import ErrorInjector, FaultyTransport
-from repro.runtime.mpi_interpose import MPIRuntimeSystem, PredictionScore
-from repro.runtime.omp_interpose import OMPRuntimeSystem
-
-__all__ = [
-    "ErrorInjector",
-    "FaultyTransport",
-    "MPIRuntimeSystem",
-    "OMPRuntimeSystem",
-    "PredictionScore",
-]

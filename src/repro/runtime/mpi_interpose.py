@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.events import Event
 from repro.core.oracle import Pythia
-from repro.mpi.comm import SimComm
 from repro.runtime.faults import ErrorInjector
+
+if TYPE_CHECKING:  # annotation only: the shim never loads the MPI substrate
+    from repro.mpi.comm import SimComm
 
 __all__ = ["MPIRuntimeSystem", "PredictionScore"]
 

@@ -79,9 +79,3 @@ class TestEventRegistry:
         restored = EventRegistry.from_obj(reg.to_obj())
         for i in range(20):
             assert restored.lookup(Event("ev", i)) == i
-
-    def test_merged_names(self):
-        reg = EventRegistry()
-        reg.intern(Event("MPI_Wait"))
-        names = reg.merged_names()
-        assert names[0] == "MPI_Wait"

@@ -112,3 +112,4 @@ def test_unreachable_daemon_exits_1(verb, tmp_path, capsys):
     code, out, err = run(capsys, *verb, "--socket", str(tmp_path / "nobody.sock"))
     assert code == 1
     assert err.startswith("error:")
+    assert "No such file or directory" in err  # the cause, not just the failure

@@ -192,6 +192,7 @@ class TestRun:
         console = OpsConsole(poll, interval=0.0, out=out, clear=False)
         assert console.run(iterations=2) == 1
         assert "daemon unreachable" in out.getvalue()
+        assert str(console.last_error) == "connection refused"
 
     def test_recovery_resets_rate_baseline(self):
         out = io.StringIO()
@@ -205,6 +206,7 @@ class TestRun:
 
         console = OpsConsole(poll, interval=0.0, out=out, clear=False)
         console.run(iterations=3)
+        assert console.last_error is None  # cleared by the good third poll
         # frame 3 is the first after recovery: no baseline -> no rate
         throughput_lines = [
             line for line in out.getvalue().splitlines() if "throughput" in line

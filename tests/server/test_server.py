@@ -3,7 +3,6 @@ concurrent sessions, and hostility to malformed clients."""
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import struct
