@@ -39,18 +39,6 @@ def _stream(n: int) -> list[tuple[str, object]]:
     return (PATTERN * reps)[:n]
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    """Lowest wall time over ``repeats`` runs (noise-resistant)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best = dt
-    return best
-
-
 def _record_run(events) -> None:
     registry = EventRegistry()
     rec = PythiaRecord(registry, record_timestamps=False)
@@ -69,16 +57,25 @@ def _predict_run(grammar, terminals) -> None:
 
 
 def _measure(fn) -> tuple[float, float]:
-    """(seconds with metrics off, seconds with metrics on) for ``fn``."""
+    """(best seconds with metrics off, best with metrics on) for ``fn``.
+
+    Off and on runs alternate within the repeats, the order flipping on
+    each repeat, so a change in host speed during the measurement lands
+    on both sides instead of reading as overhead.
+    """
     prev = obs_metrics.get_registry()
+    backends = (obs_metrics.NullRegistry(), obs_metrics.MetricsRegistry())
+    best = [float("inf"), float("inf")]
     try:
-        obs_metrics.set_registry(obs_metrics.NullRegistry())
-        off = _best_of(fn)
-        obs_metrics.set_registry(obs_metrics.MetricsRegistry())
-        on = _best_of(fn)
+        for repeat in range(REPEATS):
+            for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+                obs_metrics.set_registry(backends[side])
+                t0 = time.perf_counter()
+                fn()
+                best[side] = min(best[side], time.perf_counter() - t0)
     finally:
         obs_metrics.set_registry(prev)
-    return off, on
+    return best[0], best[1]
 
 
 def test_record_overhead_under_bound():

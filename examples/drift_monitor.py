@@ -20,7 +20,9 @@ Run: ``python examples/drift_monitor.py``
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import pathlib
 import random
 import tempfile
@@ -56,66 +58,72 @@ def region_decision(oracle: Pythia, policy: AdaptivePythiaPolicy) -> int:
 
 
 def main() -> None:
-    trace_path = tempfile.mktemp(prefix="pythia-drift-", suffix=".pythia")
-    dump_dir = tempfile.mkdtemp(prefix="pythia-flight-")
+    with tempfile.TemporaryDirectory(prefix="pythia-drift-") as tmp:
+        trace_path = os.path.join(tmp, "cg.pythia")
+        dump_dir = tmp  # the flight journals land next to the trace
 
-    # -- record the reference execution ----------------------------------
-    oracle = Pythia(trace_path, mode="record", meta={"app": "cg-demo"})
-    clock, rng = 0.0, random.Random(0)
-    for _ in range(ITERATIONS):
-        clock = cg_step(oracle, clock, rng)
-    trace = oracle.finish()
-    print(f"recorded {trace.event_count} events -> {trace_path}")
+        # -- record the reference execution ------------------------------
+        oracle = Pythia(trace_path, mode="record", meta={"app": "cg-demo"})
+        clock, rng = 0.0, random.Random(0)
+        for _ in range(ITERATIONS):
+            clock = cg_step(oracle, clock, rng)
+        trace = oracle.finish()
+        print(f"recorded {trace.event_count} events -> {trace_path}")
 
-    # -- the production run ----------------------------------------------
-    oracle = Pythia(trace_path, mode="predict")
-    monitor = oracle.enable_drift(flight=128, dump_dir=dump_dir)
-    policy = AdaptivePythiaPolicy(thresholds=THRESHOLDS, drift_monitor=monitor)
+        # -- the production run ------------------------------------------
+        oracle = Pythia(trace_path, mode="predict")
+        monitor = oracle.enable_drift(flight=128, dump_dir=dump_dir)
+        policy = AdaptivePythiaPolicy(thresholds=THRESHOLDS, drift_monitor=monitor)
 
-    @monitor.on_transition
-    def announce(old: str, new: str, snapshot: dict) -> None:
-        print(f"  [drift] {old} -> {new} after {snapshot['events']} events "
-              f"(hit {snapshot['hit_rate_ewma']:.2f}, "
-              f"unseen {snapshot['unseen_ewma']:.2f})")
+        @monitor.on_transition
+        def announce(old: str, new: str, snapshot: dict) -> None:
+            print(f"  [drift] {old} -> {new} after {snapshot['events']} events "
+                  f"(hit {snapshot['hit_rate_ewma']:.2f}, "
+                  f"unseen {snapshot['unseen_ewma']:.2f})")
 
-    clock, rng = 0.0, random.Random(7)
+        clock, rng = 0.0, random.Random(7)
 
-    print("\nphase 1: the recorded workload")
-    for _ in range(ITERATIONS):
-        region_decision(oracle, policy)
-        clock = cg_step(oracle, clock, rng)
-    print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
+        print("\nphase 1: the recorded workload")
+        for _ in range(ITERATIONS):
+            region_decision(oracle, policy)
+            clock = cg_step(oracle, clock, rng)
+        print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
 
-    print("\nphase 2: a workload the reference never saw")
-    for i in range(24):
-        region_decision(oracle, policy)
-        for name in ("fft_forward", "transpose", "fft_inverse"):
-            clock += 0.001
-            oracle.event(name, i % 4, timestamp=clock)
-    print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
-    print(f"  policy fallback forced: {policy.force_fallback}")
+        print("\nphase 2: a workload the reference never saw")
+        for i in range(24):
+            region_decision(oracle, policy)
+            for name in ("fft_forward", "transpose", "fft_inverse"):
+                clock += 0.001
+                oracle.event(name, i % 4, timestamp=clock)
+        print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
+        print(f"  policy fallback forced: {policy.force_fallback}")
 
-    print("\nphase 3: back to the recorded workload")
-    for _ in range(3 * ITERATIONS):
-        region_decision(oracle, policy)
-        clock = cg_step(oracle, clock, rng)
-    print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
-    print(f"  policy fallback forced: {policy.force_fallback}")
+        print("\nphase 3: back to the recorded workload")
+        for _ in range(3 * ITERATIONS):
+            region_decision(oracle, policy)
+            clock = cg_step(oracle, clock, rng)
+        print(f"  drift state: {monitor.state}, decisions: {policy.decisions}")
+        print(f"  policy fallback forced: {policy.force_fallback}")
 
-    # -- what the flight recorder kept -----------------------------------
-    report = oracle.drift_report()
-    print(f"\ndrift transitions: "
-          f"{[(t['from'], t['to']) for t in report['transitions']]}")
-    # every transition auto-dumped the journal: the minute before the
-    # alarm is on disk even if the process had died right after
-    for path in sorted(pathlib.Path(dump_dir).glob("flight-*.jsonl")):
-        entries = [json.loads(line) for line in path.open(encoding="utf-8")]
-        kinds: dict[str, int] = {}
-        for e in entries:
-            kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
-        print(f"flight journal {path.name}: {len(entries)} entries {kinds}")
+        # -- what the flight recorder kept -------------------------------
+        report = oracle.drift_report()
+        print(f"\ndrift transitions: "
+              f"{[(t['from'], t['to']) for t in report['transitions']]}")
+        # every transition auto-dumped the journal: the minute before the
+        # alarm is on disk even if the process had died right after
+        for path in sorted(pathlib.Path(dump_dir).glob("flight-*.jsonl")):
+            entries = [json.loads(line) for line in path.open(encoding="utf-8")]
+            kinds: dict[str, int] = {}
+            for e in entries:
+                kinds[e["kind"]] = kinds.get(e["kind"], 0) + 1
+            print(f"flight journal {path.name}: {len(entries)} entries {kinds}")
 
-    oracle.finish()
+        oracle.finish()
+        # a live flight recorder dumps its journal once more at exit; the
+        # tracker and the drift monitor hold each other, so collect them
+        # here, while their directory still exists
+        del oracle, monitor, policy
+        gc.collect()
 
 
 if __name__ == "__main__":

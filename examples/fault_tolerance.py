@@ -56,51 +56,51 @@ def record_reference(trace_path: str) -> None:
 
 
 def main() -> None:
-    tmp = tempfile.mkdtemp(prefix="pythia-faults-")
-    trace_path = os.path.join(tmp, "solver.pythia")
-    socket_path = os.path.join(tmp, "oracle.sock")
-    record_reference(trace_path)
+    with tempfile.TemporaryDirectory(prefix="pythia-faults-") as tmp:
+        trace_path = os.path.join(tmp, "solver.pythia")
+        socket_path = os.path.join(tmp, "oracle.sock")
+        record_reference(trace_path)
 
-    events = [(n, p) for _ in range(ITERATIONS) for n, p in STEP]
-    reference = Pythia(trace_path, mode="predict")  # the uninterrupted run
+        events = [(n, p) for _ in range(ITERATIONS) for n, p in STEP]
+        reference = Pythia(trace_path, mode="predict")  # the uninterrupted run
 
-    server = OracleServer(socket_path, store=TraceStore(capacity=4)).start()
-    client = PythiaClient(
-        trace_path,
-        socket=socket_path,
-        # fight for ~a second, then fall back to the in-process oracle
-        retry=RetryPolicy(max_retries=8, backoff_base=0.02, backoff_cap=0.2),
-        fallback="local",
-    )
+        server = OracleServer(socket_path, store=TraceStore(capacity=4)).start()
+        client = PythiaClient(
+            trace_path,
+            socket=socket_path,
+            # fight for ~a second, then fall back to the in-process oracle
+            retry=RetryPolicy(max_retries=8, backoff_base=0.02, backoff_cap=0.2),
+            fallback="local",
+        )
 
-    crash_at, give_up_at = len(events) // 3, 2 * len(events) // 3
-    agreements = 0
-    for i, (name, payload) in enumerate(events):
-        if i == crash_at:
-            print(f"[{i:3}] daemon killed abruptly mid-run ...")
-            server.stop()  # connections die mid-session, like kill -9
-            time.sleep(0.05)
-            server = OracleServer(
-                socket_path, store=TraceStore(capacity=4)
-            ).start()
-            print(f"[{i:3}] ... and restarted on the same socket")
-        if i == give_up_at:
-            print(f"[{i:3}] daemon stopped for good")
-            server.stop()
-        expected = reference.event_and_predict(name, payload, distance=1)
-        got = client.event_and_predict(name, payload, distance=1)
-        agreements += got == expected
+        crash_at, give_up_at = len(events) // 3, 2 * len(events) // 3
+        agreements = 0
+        for i, (name, payload) in enumerate(events):
+            if i == crash_at:
+                print(f"[{i:3}] daemon killed abruptly mid-run ...")
+                server.stop()  # connections die mid-session, like kill -9
+                time.sleep(0.05)
+                server = OracleServer(
+                    socket_path, store=TraceStore(capacity=4)
+                ).start()
+                print(f"[{i:3}] ... and restarted on the same socket")
+            if i == give_up_at:
+                print(f"[{i:3}] daemon stopped for good")
+                server.stop()
+            expected = reference.event_and_predict(name, payload, distance=1)
+            got = client.event_and_predict(name, payload, distance=1)
+            agreements += got == expected
 
-    print(f"\n{agreements}/{len(events)} events: client agreed with the "
-          f"uninterrupted in-process oracle")
-    print(f"fault layer: {client.fault_stats()}")
-    print("flight journal (client side):")
-    for entry in client.flight_journal():
-        if entry.get("kind") == "note":
-            detail = {k: v for k, v in entry.items()
-                      if k not in ("seq", "t", "kind", "session", "message")}
-            print(f"  {entry['message']}: {detail}")
-    client.finish()
+        print(f"\n{agreements}/{len(events)} events: client agreed with the "
+              f"uninterrupted in-process oracle")
+        print(f"fault layer: {client.fault_stats()}")
+        print("flight journal (client side):")
+        for entry in client.flight_journal():
+            if entry.get("kind") == "note":
+                detail = {k: v for k, v in entry.items()
+                          if k not in ("seq", "t", "kind", "session", "message")}
+                print(f"  {entry['message']}: {detail}")
+        client.finish()
 
 
 if __name__ == "__main__":

@@ -99,115 +99,115 @@ def main() -> int:
                              "history.json here (CI artifacts)")
     args = parser.parse_args()
 
-    tmp = tempfile.mkdtemp(prefix="pythia-http-obs-")
-    out_dir = args.out_dir or tmp
-    os.makedirs(out_dir, exist_ok=True)
-    trace_path = os.path.join(tmp, "solver.pythia")
-    sock_path = os.path.join(tmp, "oracle.sock")
-    record_reference(trace_path)
-    print(f"reference trace recorded: {trace_path}")
+    with tempfile.TemporaryDirectory(prefix="pythia-http-obs-") as tmp:
+        out_dir = args.out_dir or tmp
+        os.makedirs(out_dir, exist_ok=True)
+        trace_path = os.path.join(tmp, "solver.pythia")
+        sock_path = os.path.join(tmp, "oracle.sock")
+        record_reference(trace_path)
+        print(f"reference trace recorded: {trace_path}")
 
-    # profile the workers out of the box; 19 Hz is the daemon default
-    os.environ.setdefault("PYTHIA_PROFILE_HZ", "19")
+        # profile the workers out of the box; 19 Hz is the daemon default
+        os.environ.setdefault("PYTHIA_PROFILE_HZ", "19")
 
-    sup = OracleSupervisor(sock_path, workers=args.workers, drain_deadline=2.0)
-    sup.start()
-    httpd = ObservabilityHTTPServer(sup, port=args.port,
-                                    registry=sup._registry).start()
-    print(f"tier up: {args.workers} workers, scrape endpoint {httpd.url}")
+        sup = OracleSupervisor(sock_path, workers=args.workers, drain_deadline=2.0)
+        sup.start()
+        httpd = ObservabilityHTTPServer(sup, port=args.port,
+                                        registry=sup._registry).start()
+        print(f"tier up: {args.workers} workers, scrape endpoint {httpd.url}")
 
-    stop = threading.Event()
-    loaders = [
-        threading.Thread(
-            target=drive_load,
-            args=(trace_path, sock_path, f"app-{i}", stop),
-            daemon=True,
-        )
-        for i in range(args.sessions)
-    ]
-    for t in loaders:
-        t.start()
-
-    try:
-        # -- liveness / readiness, like a load balancer would ----------
-        assert fetch(httpd.url + "/healthz")[0] == 200
-        status, reason = fetch(httpd.url + "/ready")
-        print(f"/ready: {status} {reason.strip()!r}")
-
-        # -- a flamegraph window while the load runs -------------------
-        svg = fetch(
-            httpd.url
-            + f"/profile?seconds={args.profile_seconds}&format=svg"
-            + f"&hz={args.profile_hz}"
-        )[1]
-        svg_path = os.path.join(out_dir, "flamegraph.svg")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-        print(f"flamegraph written: {svg_path} ({len(svg)} bytes)")
-
-        time.sleep(max(0.0, args.load_seconds - args.profile_seconds))
-
-        # -- the Prometheus scrape, validated like a strict scraper ----
-        page = fetch(httpd.url + "/metrics")[1]
-        parsed = parse_prometheus_text(page)
-        workers_seen = sorted(
-            {
-                labels["worker"]
-                for labels, _v in parsed.series("pythia_server_requests_total")
-            }
-        )
-        total = sum(
-            v for _l, v in parsed.series("pythia_server_requests_total")
-        )
-        print(
-            f"/metrics: {len(parsed.samples)} samples, "
-            f"workers {workers_seen}, {int(total)} requests served"
-        )
-        for family in (
-            "pythia_server_requests_total",
-            "pythia_process_cpu_seconds_total",
-            "pythia_worker_up",
-            "pythia_http_requests_total",
-        ):
-            assert parsed.families[family]["type"], f"missing family {family}"
-        # exactly one HELP/TYPE header per family — strict scrapers care
-        for family in parsed.families:
-            assert page.count(f"# TYPE {family} ") == 1, family
-        with open(os.path.join(out_dir, "metrics.prom"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(page)
-        print(f"scrape validated and written: {out_dir}/metrics.prom")
-
-        # -- rates from the history ring -------------------------------
-        # a rate needs two ring entries (the ring ticks at 1 Hz), so a
-        # fresh tier may need a moment before req/s exists
-        deadline = time.monotonic() + 15.0
-        while True:
-            history = json.loads(fetch(httpd.url + "/history.json")[1])
-            tier_rates = history.get("rates") or {}
-            if (
-                tier_rates.get("pythia_server_requests_total") is not None
-                or time.monotonic() >= deadline
-            ):
-                break
-            time.sleep(0.3)
-        rates = {
-            key.replace("pythia_server_", ""): round(value, 1)
-            for key, value in (history.get("rates") or {}).items()
-            if value is not None
-        }
-        print(f"history rates (per second): {rates}")
-        with open(os.path.join(out_dir, "history.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(history, fh, indent=2, sort_keys=True)
-    finally:
-        stop.set()
+        stop = threading.Event()
+        loaders = [
+            threading.Thread(
+                target=drive_load,
+                args=(trace_path, sock_path, f"app-{i}", stop),
+                daemon=True,
+            )
+            for i in range(args.sessions)
+        ]
         for t in loaders:
-            t.join(timeout=10.0)
-        httpd.stop()
-        sup.stop()
-    print("tier drained; endpoint down")
-    return 0
+            t.start()
+
+        try:
+            # -- liveness / readiness, like a load balancer would ----------
+            assert fetch(httpd.url + "/healthz")[0] == 200
+            status, reason = fetch(httpd.url + "/ready")
+            print(f"/ready: {status} {reason.strip()!r}")
+
+            # -- a flamegraph window while the load runs -------------------
+            svg = fetch(
+                httpd.url
+                + f"/profile?seconds={args.profile_seconds}&format=svg"
+                + f"&hz={args.profile_hz}"
+            )[1]
+            svg_path = os.path.join(out_dir, "flamegraph.svg")
+            with open(svg_path, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+            print(f"flamegraph written: {svg_path} ({len(svg)} bytes)")
+
+            time.sleep(max(0.0, args.load_seconds - args.profile_seconds))
+
+            # -- the Prometheus scrape, validated like a strict scraper ----
+            page = fetch(httpd.url + "/metrics")[1]
+            parsed = parse_prometheus_text(page)
+            workers_seen = sorted(
+                {
+                    labels["worker"]
+                    for labels, _v in parsed.series("pythia_server_requests_total")
+                }
+            )
+            total = sum(
+                v for _l, v in parsed.series("pythia_server_requests_total")
+            )
+            print(
+                f"/metrics: {len(parsed.samples)} samples, "
+                f"workers {workers_seen}, {int(total)} requests served"
+            )
+            for family in (
+                "pythia_server_requests_total",
+                "pythia_process_cpu_seconds_total",
+                "pythia_worker_up",
+                "pythia_http_requests_total",
+            ):
+                assert parsed.families[family]["type"], f"missing family {family}"
+            # exactly one HELP/TYPE header per family — strict scrapers care
+            for family in parsed.families:
+                assert page.count(f"# TYPE {family} ") == 1, family
+            with open(os.path.join(out_dir, "metrics.prom"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(page)
+            print(f"scrape validated and written: {out_dir}/metrics.prom")
+
+            # -- rates from the history ring -------------------------------
+            # a rate needs two ring entries (the ring ticks at 1 Hz), so a
+            # fresh tier may need a moment before req/s exists
+            deadline = time.monotonic() + 15.0
+            while True:
+                history = json.loads(fetch(httpd.url + "/history.json")[1])
+                tier_rates = history.get("rates") or {}
+                if (
+                    tier_rates.get("pythia_server_requests_total") is not None
+                    or time.monotonic() >= deadline
+                ):
+                    break
+                time.sleep(0.3)
+            rates = {
+                key.replace("pythia_server_", ""): round(value, 1)
+                for key, value in (history.get("rates") or {}).items()
+                if value is not None
+            }
+            print(f"history rates (per second): {rates}")
+            with open(os.path.join(out_dir, "history.json"), "w",
+                      encoding="utf-8") as fh:
+                json.dump(history, fh, indent=2, sort_keys=True)
+        finally:
+            stop.set()
+            for t in loaders:
+                t.join(timeout=10.0)
+            httpd.stop()
+            sup.stop()
+        print("tier drained; endpoint down")
+        return 0
 
 
 if __name__ == "__main__":

@@ -54,57 +54,57 @@ def record_reference(trace_path: str) -> None:
 
 
 def main() -> None:
-    tmp = tempfile.mkdtemp(prefix="pythia-multiworker-")
-    trace_path = os.path.join(tmp, "solver.pythia")
-    sock_path = os.path.join(tmp, "oracle.sock")
-    record_reference(trace_path)
+    with tempfile.TemporaryDirectory(prefix="pythia-multiworker-") as tmp:
+        trace_path = os.path.join(tmp, "solver.pythia")
+        sock_path = os.path.join(tmp, "oracle.sock")
+        record_reference(trace_path)
 
-    with OracleSupervisor(sock_path, workers=WORKERS, drain_deadline=2.0):
-        print(f"supervisor up: {WORKERS} workers behind {sock_path}\n")
+        with OracleSupervisor(sock_path, workers=WORKERS, drain_deadline=2.0):
+            print(f"supervisor up: {WORKERS} workers behind {sock_path}\n")
 
-        # -- six applications, each its own session id ------------------
-        homes = {}
-        for i in range(APPS):
-            sid = f"app-{i}"
-            client = PythiaClient(trace_path, socket=sock_path, session_id=sid)
-            for _ in range(5):
-                for name, payload in STEP:
-                    client.event(name, payload)
-            prediction = client.predict(1)
-            homes[sid] = client.worker
-            print(f"  {sid}: worker {client.worker}, "
-                  f"next={client.describe(prediction)}")
-            client.close()
+            # -- six applications, each its own session id --------------
+            homes = {}
+            for i in range(APPS):
+                sid = f"app-{i}"
+                client = PythiaClient(trace_path, socket=sock_path, session_id=sid)
+                for _ in range(5):
+                    for name, payload in STEP:
+                        client.event(name, payload)
+                prediction = client.predict(1)
+                homes[sid] = client.worker
+                print(f"  {sid}: worker {client.worker}, "
+                      f"next={client.describe(prediction)}")
+                client.close()
 
-        # -- stickiness: a reconnect lands on the same worker -----------
-        again = PythiaClient(trace_path, socket=sock_path, session_id="app-0")
-        again.event(*STEP[0])
-        print(f"\napp-0 reconnected: worker {again.worker} "
-              f"(was {homes['app-0']}) — sticky routing")
-        assert again.worker == homes["app-0"]
-        again.close()
+            # -- stickiness: a reconnect lands on the same worker -------
+            again = PythiaClient(trace_path, socket=sock_path, session_id="app-0")
+            again.event(*STEP[0])
+            print(f"\napp-0 reconnected: worker {again.worker} "
+                  f"(was {homes['app-0']}) — sticky routing")
+            assert again.worker == homes["app-0"]
+            again.close()
 
-        # -- per-worker session counts from the merged table ------------
-        table = admin_request(sock_path, {"op": "sessions"})
-        per_worker = collections.Counter(
-            row["worker"] for row in table["sessions"]
-        )
-        print("\nsessions per worker (the `pythia-trace sessions` view):")
-        for wid in sorted(per_worker):
-            rows = [r["sid"] for r in table["sessions"] if r["worker"] == wid]
-            print(f"  worker {wid}: {per_worker[wid]} session(s)  {sorted(rows)}")
+            # -- per-worker session counts from the merged table --------
+            table = admin_request(sock_path, {"op": "sessions"})
+            per_worker = collections.Counter(
+                row["worker"] for row in table["sessions"]
+            )
+            print("\nsessions per worker (the `pythia-trace sessions` view):")
+            for wid in sorted(per_worker):
+                rows = [r["sid"] for r in table["sessions"] if r["worker"] == wid]
+                print(f"  worker {wid}: {per_worker[wid]} session(s)  {sorted(rows)}")
 
-        # -- one grammar parse for the whole tier -----------------------
-        stats = admin_request(sock_path, {"op": "stats"})
-        store = stats["store"]
-        print(f"\nshared grammar: {store['artifact_compiles']} compile(s) "
-              f"for {len(stats['workers'])} active worker(s); "
-              f"artifact(s): {[os.path.basename(a) for a in store['artifacts']]}")
-        workers = admin_request(sock_path, {"op": "workers"})["workers"]
-        routed = {w: info["connections_routed"] for w, info in sorted(workers.items())}
-        print(f"connections routed per worker: {routed}")
+            # -- one grammar parse for the whole tier -------------------
+            stats = admin_request(sock_path, {"op": "stats"})
+            store = stats["store"]
+            print(f"\nshared grammar: {store['artifact_compiles']} compile(s) "
+                  f"for {len(stats['workers'])} active worker(s); "
+                  f"artifact(s): {[os.path.basename(a) for a in store['artifacts']]}")
+            workers = admin_request(sock_path, {"op": "workers"})["workers"]
+            routed = {w: info["connections_routed"] for w, info in sorted(workers.items())}
+            print(f"connections routed per worker: {routed}")
 
-    print("\nsupervisor stopped (workers drained and exited)")
+        print("\nsupervisor stopped (workers drained and exited)")
 
 
 if __name__ == "__main__":

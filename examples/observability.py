@@ -20,6 +20,7 @@ Run: ``python examples/observability.py``
 
 from __future__ import annotations
 
+import os
 import random
 import tempfile
 
@@ -56,56 +57,57 @@ def solver_step(oracle: Pythia, clock: float, rng: random.Random,
 
 
 def main() -> None:
-    trace_path = tempfile.mktemp(prefix="pythia-obs-", suffix=".pythia")
-    registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
+    with tempfile.TemporaryDirectory(prefix="pythia-obs-") as tmp:
+        trace_path = os.path.join(tmp, "cg.pythia")
+        registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
 
-    with span_recording() as spans:
-        # -- run 1: record the reference execution -----------------------
-        with span("example.record"):
-            oracle = Pythia(trace_path, mode="record", meta={"app": "cg-demo"})
-            clock, rng = 0.0, random.Random(0)
-            for _ in range(ITERATIONS):
-                clock = solver_step(oracle, clock, rng)
-            trace = oracle.finish()
-        print(f"recorded {trace.event_count} events "
-              f"({trace.rule_count} grammar rules) -> reference trace")
+        with span_recording() as spans:
+            # -- run 1: record the reference execution -------------------
+            with span("example.record"):
+                oracle = Pythia(trace_path, mode="record", meta={"app": "cg-demo"})
+                clock, rng = 0.0, random.Random(0)
+                for _ in range(ITERATIONS):
+                    clock = solver_step(oracle, clock, rng)
+                trace = oracle.finish()
+            print(f"recorded {trace.event_count} events "
+                  f"({trace.rule_count} grammar rules) -> reference trace")
 
-        # -- run 2: replay with perturbed timing, score every claim ------
-        with span("example.predict"):
-            oracle = Pythia(trace_path, mode="predict")
-            clock, rng = 0.0, random.Random(7)  # different jitter
-            for it in range(ITERATIONS):
-                clock = solver_step(oracle, clock, rng, predicting=True)
-                if it == ITERATIONS // 2:
-                    # the reference run never wrote a checkpoint: the
-                    # oracle goes lost, then resyncs on the next event
-                    oracle.event("checkpoint_write", timestamp=clock)
-            report = oracle.stats()
+            # -- run 2: replay with perturbed timing, score every claim --
+            with span("example.predict"):
+                oracle = Pythia(trace_path, mode="predict")
+                clock, rng = 0.0, random.Random(7)  # different jitter
+                for it in range(ITERATIONS):
+                    clock = solver_step(oracle, clock, rng, predicting=True)
+                    if it == ITERATIONS // 2:
+                        # the reference run never wrote a checkpoint: the
+                        # oracle goes lost, then resyncs on the next event
+                        oracle.event("checkpoint_write", timestamp=clock)
+                report = oracle.stats()
 
-    # -- the accuracy report ---------------------------------------------
-    print("\naccuracy report (scored online during the replay)")
-    print(f"  predictions scored : {report['predictions_scored']}")
-    print(f"  hit rate           : {100 * report['hit_rate']:.1f} % "
-          f"(rolling {100 * report['rolling_hit_rate']:.1f} %)")
-    print(f"  mean |time error|  : {1e3 * report['mean_abs_time_error']:.3f} ms "
-          f"(max {1e3 * report['max_abs_time_error']:.3f} ms, "
-          f"{report['time_scored']} timed)")
-    print(f"  lost -> resync     : {report['lost_events']} lost, "
-          f"{report['resyncs']} resyncs")
+        # -- the accuracy report -----------------------------------------
+        print("\naccuracy report (scored online during the replay)")
+        print(f"  predictions scored : {report['predictions_scored']}")
+        print(f"  hit rate           : {100 * report['hit_rate']:.1f} % "
+              f"(rolling {100 * report['rolling_hit_rate']:.1f} %)")
+        print(f"  mean |time error|  : {1e3 * report['mean_abs_time_error']:.3f} ms "
+              f"(max {1e3 * report['max_abs_time_error']:.3f} ms, "
+              f"{report['time_scored']} timed)")
+        print(f"  lost -> resync     : {report['lost_events']} lost, "
+              f"{report['resyncs']} resyncs")
 
-    # -- the same numbers, as scrapeable metrics --------------------------
-    snapshot = registry.snapshot()
-    print("\nmetrics registry (selected)")
-    for name in ("pythia_record_events_total", "pythia_predict_observe_total",
-                 "pythia_predict_hits_total", "pythia_predict_misses_total",
-                 "pythia_predict_lost_total"):
-        # counters flush lazily: one that never moved reads as 0
-        print(f"  {name:32s} {snapshot.get(name, 0)}")
+        # -- the same numbers, as scrapeable metrics ----------------------
+        snapshot = registry.snapshot()
+        print("\nmetrics registry (selected)")
+        for name in ("pythia_record_events_total", "pythia_predict_observe_total",
+                     "pythia_predict_hits_total", "pythia_predict_misses_total",
+                     "pythia_predict_lost_total"):
+            # counters flush lazily: one that never moved reads as 0
+            print(f"  {name:32s} {snapshot.get(name, 0)}")
 
-    # -- and where the wall time went -------------------------------------
-    print("\nspans (export with recorder.dump() for chrome://tracing)")
-    for name, agg in sorted(spans.totals().items()):
-        print(f"  {name:18s} x{agg['count']}  {1e3 * agg['total_s']:7.2f} ms")
+        # -- and where the wall time went ---------------------------------
+        print("\nspans (export with recorder.dump() for chrome://tracing)")
+        for name, agg in sorted(spans.totals().items()):
+            print(f"  {name:18s} x{agg['count']}  {1e3 * agg['total_s']:7.2f} ms")
 
 
 if __name__ == "__main__":

@@ -70,61 +70,61 @@ def run_application(session_id: str, trace_path: str, socket_path: str):
 
 
 def main() -> None:
-    tmp = tempfile.mkdtemp(prefix="pythia-ops-")
-    trace_path = os.path.join(tmp, "solver.pythia")
-    socket_path = os.path.join(tmp, "oracle.sock")
-    record_reference(trace_path)
+    with tempfile.TemporaryDirectory(prefix="pythia-ops-") as tmp:
+        trace_path = os.path.join(tmp, "solver.pythia")
+        socket_path = os.path.join(tmp, "oracle.sock")
+        record_reference(trace_path)
 
-    with obs_spans.span_recording() as recorder:
-        with OracleServer(socket_path, store=TraceStore()) as _server:
-            solver = run_application("solver-rank0", trace_path, socket_path)
-            viz = run_application("viz-sidecar", trace_path, socket_path)
+        with obs_spans.span_recording() as recorder:
+            with OracleServer(socket_path, store=TraceStore()) as _server:
+                solver = run_application("solver-rank0", trace_path, socket_path)
+                viz = run_application("viz-sidecar", trace_path, socket_path)
 
-            print("=== one request, decomposed (client.last_timing) ===")
-            t = solver.last_timing
-            print(f"op={t['op']} sid={t['sid']} rid={t['rid']}")
-            print(f"  total   {t['total_us']:8.1f} µs")
-            print(f"  wire    {t['wire_us']:8.1f} µs  (send + receive + scheduling)")
-            print(f"  queue   {t['queue_us']:8.1f} µs  (daemon: socket -> handler)")
-            print(f"  handler {t['handler_us']:8.1f} µs  (daemon: the oracle work)")
+                print("=== one request, decomposed (client.last_timing) ===")
+                t = solver.last_timing
+                print(f"op={t['op']} sid={t['sid']} rid={t['rid']}")
+                print(f"  total   {t['total_us']:8.1f} µs")
+                print(f"  wire    {t['wire_us']:8.1f} µs  (send + receive + scheduling)")
+                print(f"  queue   {t['queue_us']:8.1f} µs  (daemon: socket -> handler)")
+                print(f"  handler {t['handler_us']:8.1f} µs  (daemon: the oracle work)")
 
-            print("\n=== per-op timing report (client side) ===")
-            for op, components in solver.timing_report().items():
-                for component, stats in components.items():
-                    print(f"{op:16s} {component:8s} x{stats['count']:<4d} "
-                          f"p50 {stats['p50_us']:7.1f} µs  "
-                          f"p99 {stats['p99_us']:7.1f} µs")
+                print("\n=== per-op timing report (client side) ===")
+                for op, components in solver.timing_report().items():
+                    for component, stats in components.items():
+                        print(f"{op:16s} {component:8s} x{stats['count']:<4d} "
+                              f"p50 {stats['p50_us']:7.1f} µs  "
+                              f"p99 {stats['p99_us']:7.1f} µs")
 
-            print("\n=== daemon per-session telemetry (pythia-trace sessions) ===")
-            table = solver.sessions()
-            for row in table["sessions"]:
-                print(f"{row['sid']:14s} requests={row['requests']:<4d} "
-                      f"last_rid={row['last_rid']:<4d} "
-                      f"duplicates={row['rid_regressions']} "
-                      f"hit_rate={row.get('hit_rate', 0.0):.3f}")
+                print("\n=== daemon per-session telemetry (pythia-trace sessions) ===")
+                table = solver.sessions()
+                for row in table["sessions"]:
+                    print(f"{row['sid']:14s} requests={row['requests']:<4d} "
+                          f"last_rid={row['last_rid']:<4d} "
+                          f"duplicates={row['rid_regressions']} "
+                          f"hit_rate={row.get('hit_rate', 0.0):.3f}")
 
-            print("\n=== one ops-console frame (pythia-trace top) ===")
-            # what the CLI does: one admin request per connection
-            metrics_text = admin_request(socket_path, {"op": "metrics"})["text"]
-            sessions_table = admin_request(socket_path, {"op": "sessions"})
-            console = OpsConsole(lambda: {}, clear=False, title="pythia ops demo")
-            print(console.frame(
-                {"metrics": metrics_text, "sessions": sessions_table}
-            ))
+                print("\n=== one ops-console frame (pythia-trace top) ===")
+                # what the CLI does: one admin request per connection
+                metrics_text = admin_request(socket_path, {"op": "metrics"})["text"]
+                sessions_table = admin_request(socket_path, {"op": "sessions"})
+                console = OpsConsole(lambda: {}, clear=False, title="pythia ops demo")
+                print(console.frame(
+                    {"metrics": metrics_text, "sessions": sessions_table}
+                ))
 
-            solver.finish()
-            viz.finish()
+                solver.finish()
+                viz.finish()
 
-        dump_path = os.path.join(tmp, "spans.json")
-        recorder.dump(dump_path)
+            dump_path = os.path.join(tmp, "spans.json")
+            recorder.dump(dump_path)
 
-    print("=== offline: pythia-trace analyze over the span journal ===")
-    report = TraceTable.load(dump_path).report()
-    print(f"{report['requests']} traced requests from sessions "
-          f"{', '.join(report['sessions'])}")
-    for component, stats in report["ops"]["observe_predict"].items():
-        print(f"observe_predict {component:8s} x{stats['count']:<4d} "
-              f"p50 {stats['p50_us']:7.1f} µs  max {stats['max_us']:7.1f} µs")
+        print("=== offline: pythia-trace analyze over the span journal ===")
+        report = TraceTable.load(dump_path).report()
+        print(f"{report['requests']} traced requests from sessions "
+              f"{', '.join(report['sessions'])}")
+        for component, stats in report["ops"]["observe_predict"].items():
+            print(f"observe_predict {component:8s} x{stats['count']:<4d} "
+                  f"p50 {stats['p50_us']:7.1f} µs  max {stats['max_us']:7.1f} µs")
 
 
 if __name__ == "__main__":

@@ -72,38 +72,38 @@ def application(app_id: int, trace_path: str, socket_path: str,
 
 
 def main() -> None:
-    tmp = tempfile.mkdtemp(prefix="pythia-service-")
-    trace_path = os.path.join(tmp, "solver.pythia")
-    socket_path = os.path.join(tmp, "oracle.sock")
+    with tempfile.TemporaryDirectory(prefix="pythia-service-") as tmp:
+        trace_path = os.path.join(tmp, "solver.pythia")
+        socket_path = os.path.join(tmp, "oracle.sock")
 
-    record_reference(trace_path)
+        record_reference(trace_path)
 
-    # normally: `pythia-trace serve --socket ...` in its own process
-    with OracleServer(socket_path, store=TraceStore(capacity=4)) as server:
-        print(f"daemon listening on {socket_path}")
+        # normally: `pythia-trace serve --socket ...` in its own process
+        with OracleServer(socket_path, store=TraceStore(capacity=4)) as server:
+            print(f"daemon listening on {socket_path}")
 
-        results: dict = {}
-        apps = [
-            threading.Thread(target=application,
-                             args=(i, trace_path, socket_path, results))
-            for i in (1, 2)
-        ]
-        for t in apps:
-            t.start()
-        for t in apps:
-            t.join()
+            results: dict = {}
+            apps = [
+                threading.Thread(target=application,
+                                 args=(i, trace_path, socket_path, results))
+                for i in (1, 2)
+            ]
+            for t in apps:
+                t.start()
+            for t in apps:
+                t.join()
 
-        for app_id, (matched, predicted, sample, stats) in sorted(results.items()):
-            print(f"app {app_id}: {matched}/{stats['observed']} events matched, "
-                  f"{predicted} predictions, e.g. {sample}")
+            for app_id, (matched, predicted, sample, stats) in sorted(results.items()):
+                print(f"app {app_id}: {matched}/{stats['observed']} events matched, "
+                      f"{predicted} predictions, e.g. {sample}")
 
-        counters = server.counters
-        store = server.store.snapshot()
-        print(f"daemon: {counters['sessions_opened']} sessions, "
-              f"{counters['events_observed']} events observed, "
-              f"{counters['predictions_served']} predictions served")
-        print(f"trace store: {store['misses']} load(s), {store['hits']} hit(s) "
-              f"— both apps shared one loaded grammar")
+            counters = server.counters
+            store = server.store.snapshot()
+            print(f"daemon: {counters['sessions_opened']} sessions, "
+                  f"{counters['events_observed']} events observed, "
+                  f"{counters['predictions_served']} predictions served")
+            print(f"trace store: {store['misses']} load(s), {store['hits']} hit(s) "
+                  f"— both apps shared one loaded grammar")
 
 
 if __name__ == "__main__":

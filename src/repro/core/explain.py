@@ -109,7 +109,10 @@ class Explanation:
     traversal produced it (``"compiled"`` or ``"reference"``; both are
     byte-identical, the field exists so a surprising prediction can be
     pinned to the machine that served it), and ``deterministic`` whether
-    every simulated step stayed on the single-successor fast path.
+    every simulated step stayed on the single-successor fast path: the
+    compiled machine expands a chain it has not seen on the way, so this
+    reads True for a walk that is deterministic at every step, warm or
+    cold.  The reference traversal has no fast path and reads False.
     """
 
     distance: int

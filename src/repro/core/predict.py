@@ -152,7 +152,7 @@ class PythiaPredict:
         self.accuracy = AccuracyTracker()
         self._since_flush = 0
         self._flushed: dict[str, int] = {}
-        #: memo of ``timing.estimate`` per (interned) chain — a pure
+        #: memo of ``timing.estimate`` per chain — a pure
         #: function of the immutable table, used by both traversal paths
         self._eta_cache: dict[Chain, float | None] = {}
         #: reusable Prediction per terminal for the deterministic walk
@@ -338,21 +338,27 @@ class PythiaPredict:
         have_time = with_time and self.timing is not None
         if machine is not None and len(cands) == 1 and distance >= 1 and not have_time:
             # deterministic walk: an in-sync tracker predicting ahead is
-            # `distance` dict lookups.  Each step equals one general
-            # simulation step on a weight-1.0 singleton (see _simulate's
-            # fast path); any branch, END or cold entry falls back.
+            # `distance` dict lookups, a cold chain expanded on the way.
+            # Each step equals one general simulation step on a weight-1.0
+            # singleton (see _simulate's fast path); a branch or END falls
+            # back.
             chain, weight = next(iter(cands.items()))
             if weight == 1.0 and chain is not END and chain:
                 det_get = machine._det.get
                 term = None
                 nx = None
+                warm = 0
                 for _ in range(distance):
                     nx = det_get(chain)
                     if nx is None:
-                        break
+                        nx = machine.deterministic_next(chain)
+                        if nx is None:
+                            break
+                    else:
+                        warm += 1
                     chain, term = nx
+                machine.det_hits += warm
                 if nx is not None:
-                    machine.det_hits += distance
                     self.predictions += 1
                     pred = self._det_pred.get(term)
                     if pred is None:
@@ -417,7 +423,9 @@ class PythiaPredict:
         an ``explain`` between two ``predict`` calls cannot change any
         statistic.  ``events[0]`` carries exactly the terminal and
         probability ``predict(distance)`` would return; returns ``None``
-        when the tracker is lost (as ``predict`` does).
+        when the tracker is lost (as ``predict`` does).  ``deterministic``
+        is True when every step was a single successor at weight 1.0,
+        whether or not the machine had expanded those chains before.
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")

@@ -14,12 +14,22 @@ What is cached
 --------------
 - **expand memo** — chain -> ``((successor, rel_weight, terminal), ...)``,
   the weight-1.0 successor set of :func:`successors_rel` with each
-  successor's terminal precomputed.  Keys and successor chains are
-  *interned* so repeated queries share tuple storage.
+  successor's terminal precomputed.  Chains are stored as given: a
+  walk's successor is its next lookup key, so keys and successors share
+  one tuple without an intern table.
 - **deterministic-transition table** — the common single-successor case
   (an in-sync tracker walking a loop body) as a direct
   chain -> ``(next chain, terminal)`` dict, so the fused observe loop is
   one dictionary lookup instead of a recursive ``_advance`` walk.
+  :meth:`SuccessorMachine.deterministic_next` expands a chain it has not
+  seen before it reads this table, so its ``None`` means only that the
+  step branches or ends — never that the chain was cold.
+- **per-position step table** — ``(rule, idx)`` -> the position's
+  terminal, exponent and next in-body first-terminal prefix.  A cache
+  miss whose step stays in the bottom rule's body (an exponent bump or
+  an in-body advance, most of them on a loop) is answered from it in
+  O(1) instead of by the recursive traversal, with the same tuples and
+  the same 1.0 weight.
 - **descend prefixes** — ``(rule, idx)`` -> first-terminal chain, used
   while computing cache misses.
 - **start chains** — per-terminal §II-B2 restart sets (mid-stream attach
@@ -29,7 +39,9 @@ Memory is bounded: the memo is capped at ``max_entries`` (default
 :data:`DEFAULT_MAX_ENTRIES`, overridable via the
 ``PYTHIA_SUCCESSOR_CACHE`` environment variable) and evicts its oldest
 eighth in insertion order when full — a segmented-FIFO approximation of
-LRU that keeps eviction O(1) amortized.  Hit/miss/eviction counters are
+LRU that keeps eviction O(1) amortized.  The deterministic table only
+holds memo keys; the per-position, descend and start-chain tables are
+bounded by the grammar's size.  Hit/miss/eviction counters are
 published to the process metrics registry (``pythia_successor_*``).
 
 Thread safety: lookups are lock-free dictionary reads (safe under the
@@ -74,6 +86,14 @@ def _env_max_entries() -> int:
     return value if value >= 1 else DEFAULT_MAX_ENTRIES
 
 
+def _unique(rel: Expansion) -> tuple[Chain, int] | None:
+    """``(successor, terminal)`` of a single-successor expansion at weight
+    1.0 that reaches a terminal (a deterministic step); otherwise None."""
+    if len(rel) == 1 and rel[0][1] == 1.0 and rel[0][2] is not None:
+        return rel[0][0], rel[0][2]
+    return None
+
+
 class SuccessorMachine:
     """Compiled, bounded-memory successor tables over one frozen grammar.
 
@@ -91,8 +111,8 @@ class SuccessorMachine:
         "max_entries",
         "_memo",
         "_det",
-        "_intern",
         "_descend",
+        "_positions",
         "_starts",
         "_lock",
         "hits",
@@ -109,8 +129,8 @@ class SuccessorMachine:
             raise ValueError("max_entries must be >= 1")
         self._memo: dict[Chain, Expansion] = {}
         self._det: dict[Chain, tuple[Chain, int]] = {}
-        self._intern: dict[Chain, Chain] = {END: END}
         self._descend: dict[tuple[int, int], Chain] = {}
+        self._positions: dict[tuple[int, int], tuple] = {}
         self._starts: dict[int, tuple[tuple[Chain, float], ...]] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -129,46 +149,31 @@ class SuccessorMachine:
         if rel is not None:
             self.hits += 1
             return rel
-        fg = self.grammar
-        computed = successors_rel(fg, chain, descend_fn=self._descend_base)
-        with self._lock:
-            self.misses += 1
-            rel = self._memo.get(chain)
-            if rel is not None:
-                return rel
-            if len(self._memo) >= self.max_entries:
-                self._evict_locked()
-            intern = self._intern
-            key = intern.setdefault(chain, chain)
-            triples = []
-            for c, w in computed:
-                s = intern.setdefault(c, c)
-                triples.append((s, w, None if s is END or not s else terminal_of(fg, s)))
-            rel = tuple(triples)
-            self._memo[key] = rel
-            if len(rel) == 1 and rel[0][1] == 1.0 and rel[0][2] is not None:
-                self._det[key] = (rel[0][0], rel[0][2])
-        return rel
+        return self._miss(chain)
 
     def deterministic_next(self, chain: Chain) -> tuple[Chain, int] | None:
         """``(next chain, its terminal)`` when the step is deterministic.
 
-        One dict lookup; ``None`` when the chain has not been expanded
-        yet or genuinely branches — callers fall back to :meth:`expand`.
+        A warm chain is one dict lookup (counted in ``det_hits``).  A
+        chain this machine has not expanded yet is expanded first (one
+        miss), so ``None`` means that the step branches or reaches
+        :data:`END` — callers then fall back to :meth:`expand`, which also
+        answers the rare lock-free read that races another thread's store
+        of the same chain.
         """
         nxt = self._det.get(chain)
         if nxt is not None:
             self.det_hits += 1
-        return nxt
+            return nxt
+        if chain in self._memo:
+            return None
+        return _unique(self._miss(chain))
 
     def start_chains(self, terminal: int) -> tuple[tuple[Chain, float], ...]:
         """Cached §II-B2 restart set for one observed terminal."""
         got = self._starts.get(terminal)
         if got is None:
-            got = tuple(
-                (self._intern.setdefault(c, c), w)
-                for c, w in start_chains(self.grammar, terminal)
-            )
+            got = tuple(start_chains(self.grammar, terminal))
             self._starts[terminal] = got  # keyed by terminal: naturally bounded
         return got
 
@@ -182,9 +187,71 @@ class SuccessorMachine:
     def _descend_base(self, rid: int, idx: int) -> Chain:
         base = self._descend.get((rid, idx))
         if base is None:
-            # setdefault: racing threads agree on one interned tuple
+            # setdefault: racing threads agree on one shared tuple
             base = self._descend.setdefault((rid, idx), descend(self.grammar, rid, idx))
         return base
+
+    def _miss(self, chain: Chain) -> Expansion:
+        """Compute one cold chain's expansion and store it (one miss)."""
+        step = self._level0(chain) if chain else None
+        if step is None:
+            fg = self.grammar
+            rel = tuple(
+                (c, w, None if c is END or not c else terminal_of(fg, c))
+                for c, w in successors_rel(fg, chain, descend_fn=self._descend_base)
+            )
+            step = _unique(rel)
+        else:
+            rel = ((step[0], 1.0, step[1]),)
+        with self._lock:
+            self.misses += 1
+            cached = self._memo.get(chain)
+            if cached is not None:
+                return cached
+            if len(self._memo) >= self.max_entries:
+                self._evict_locked()
+            self._memo[chain] = rel
+            if step is not None:
+                self._det[chain] = step
+        return rel
+
+    def _level0(self, chain: Chain) -> tuple[Chain, int] | None:
+        """The unique successor of a step that stays in ``chain[0]``'s body.
+
+        Answers the two cases :func:`successors_rel` resolves at level 0
+        from the per-position table: an exponent bump (``it + 1 < exp``)
+        and an in-body advance (the cached first-terminal prefix of the
+        next body element).  ``None`` for every other step — an unknown
+        iteration (branches) or the end of the body (climbs a level) —
+        which the general traversal answers.
+        """
+        rid, idx, it = chain[0]
+        pos = self._positions.get((rid, idx))
+        if pos is None:
+            pos = self._position(rid, idx)
+        term, exp, nxt = pos
+        if exp > 1:
+            if it is None:
+                return None
+            if it + 1 < exp:
+                return ((rid, idx, it + 1),) + chain[1:], term
+        if nxt is None:
+            return None
+        return nxt[0] + chain[1:], nxt[1]
+
+    def _position(self, rid: int, idx: int) -> tuple:
+        """Per-position step entry of a terminal position (a chain bottom):
+        ``(terminal, exponent, next)``, where ``next`` is the first-terminal
+        prefix of ``(rid, idx + 1)`` with its terminal, or ``None`` at the
+        end of the body."""
+        fg = self.grammar
+        term, exp = fg.bodies[rid][idx]
+        nxt = None
+        if idx + 1 < fg.body_len(rid):
+            prefix = self._descend_base(rid, idx + 1)
+            nxt = (prefix, terminal_of(fg, prefix))
+        # setdefault: racing threads agree on one entry
+        return self._positions.setdefault((rid, idx), (term, exp, nxt))
 
     def _evict_locked(self) -> None:
         """Drop the oldest eighth of the memo (insertion order). Lock held."""
@@ -193,11 +260,6 @@ class SuccessorMachine:
             del self._memo[key]
             self._det.pop(key, None)
         self.evictions += drop
-        # the intern table outlives memo entries (successor chains point
-        # into it); reset it when it grows well past the memo bound
-        if len(self._intern) > 4 * self.max_entries:
-            self._intern.clear()
-            self._intern[END] = END
 
     # ------------------------------------------------------------------
     # observability
@@ -209,7 +271,6 @@ class SuccessorMachine:
         return {
             "entries": len(self._memo),
             "max_entries": self.max_entries,
-            "interned": len(self._intern),
             "det_entries": len(self._det),
             "hits": self.hits,
             "misses": self.misses,
@@ -242,12 +303,8 @@ class SuccessorMachine:
                     deltas[name] = delta
                     self._flushed[name] = value
             entries = len(self._memo)
-            interned = len(self._intern)
         for name, delta in deltas.items():
             reg.counter(name).inc(delta)
         reg.gauge(
             "pythia_successor_cache_entries", help="Memoized successor expansions"
         ).set(entries)
-        reg.gauge(
-            "pythia_successor_interned_chains", help="Interned progress-sequence chains"
-        ).set(interned)

@@ -42,43 +42,42 @@ in-process oracle (or honest ``lost`` predictions) when the daemon stays
 unreachable; the daemon drains gracefully on SIGTERM
 (:func:`~repro.server.daemon.serve_forever`, shared by both tiers),
 answering late requests with the retryable ``shutting_down`` code.
+
+The names below resolve on first use (PEP 562), so ``import
+repro.server.client`` loads the client and its protocol only, not the
+serving tier.
 """
 
-from repro.server.client import (
-    OracleServiceError,
-    PythiaClient,
-    RetryPolicy,
-    admin_request,
-)
-from repro.server.daemon import OracleServer, RequestError
-from repro.server.protocol import (
-    DEFAULT_MAX_FRAME,
-    RETRYABLE_CODES,
-    ConnectionClosed,
-    FrameTooLarge,
-    ProtocolError,
-    read_frame,
-    write_frame,
-)
-from repro.server.store import TraceBundle, TraceStore
-from repro.server.supervisor import HashRing, OracleSupervisor
+import importlib
 
-__all__ = [
-    "DEFAULT_MAX_FRAME",
-    "RETRYABLE_CODES",
-    "ConnectionClosed",
-    "FrameTooLarge",
-    "HashRing",
-    "OracleServer",
-    "OracleServiceError",
-    "OracleSupervisor",
-    "ProtocolError",
-    "PythiaClient",
-    "RequestError",
-    "RetryPolicy",
-    "TraceBundle",
-    "TraceStore",
-    "admin_request",
-    "read_frame",
-    "write_frame",
-]
+#: each public name -> the module that defines it, imported on first use
+_EXPORTS = {
+    "DEFAULT_MAX_FRAME": "repro.server.protocol",
+    "RETRYABLE_CODES": "repro.server.protocol",
+    "ConnectionClosed": "repro.server.protocol",
+    "FrameTooLarge": "repro.server.protocol",
+    "HashRing": "repro.server.supervisor",
+    "OracleServer": "repro.server.daemon",
+    "OracleServiceError": "repro.server.client",
+    "OracleSupervisor": "repro.server.supervisor",
+    "ProtocolError": "repro.server.protocol",
+    "PythiaClient": "repro.server.client",
+    "RequestError": "repro.server.daemon",
+    "RetryPolicy": "repro.server.client",
+    "TraceBundle": "repro.server.store",
+    "TraceStore": "repro.server.store",
+    "admin_request": "repro.server.client",
+    "read_frame": "repro.server.protocol",
+    "write_frame": "repro.server.protocol",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.core.predict import PythiaPredict
 from repro.core.progress import (
     END,
     descend,
@@ -15,16 +19,27 @@ from repro.core.progress import (
 from repro.core.successor import DEFAULT_MAX_ENTRIES, SuccessorMachine
 from tests.conftest import freeze, random_structured_stream
 
+#: grammars with exponents: terminal runs, a loop body, nested loops, a
+#: unique prologue and structured random streams
+LOOP_STREAMS = [
+    [0] * 10 + [1],
+    [9] + [0, 1, 2, 3] * 50,
+    ([0, 1] * 3 + [2]) * 4,
+    [4] + ([0] * 3 + [1, 2] * 5) * 6 + [3],
+    *(random_structured_stream(seed) for seed in (3, 8, 21, 42)),
+]
+
 
 def _scaled(machine, chain, weight=1.0):
     """The expansion scaled to ``weight`` as the tracker scales it."""
     return [(c, rw if weight == 1.0 else rw * weight) for c, rw, _t in machine.expand(chain)]
 
 
-def _walk_chains(fg, limit=200):
-    """Every chain reachable from the initial chain (BFS, bounded)."""
+def _walk_chains(fg, limit=200, starts=None):
+    """Every chain reachable from ``starts`` (default: the initial chain),
+    breadth first, at most ``limit`` of them."""
     seen = []
-    frontier = [initial_chain(fg)]
+    frontier = [initial_chain(fg)] if starts is None else list(starts)
     visited = set()
     while frontier and len(seen) < limit:
         chain = frontier.pop(0)
@@ -38,6 +53,16 @@ def _walk_chains(fg, limit=200):
     return seen
 
 
+def _reachable(fg, limit=200):
+    """Chains from the initial chain and from every mid-stream start
+    chain: complete and partial chains, known and unknown iterations."""
+    chains = _walk_chains(fg, limit)
+    for terminal in sorted(fg.terminals()):
+        starts = [c for c, _w in start_chains(fg, terminal)]
+        chains += _walk_chains(fg, limit, starts)
+    return chains
+
+
 class TestMemoization:
     def test_expand_matches_reference(self, fig1_frozen):
         machine = SuccessorMachine(fig1_frozen)
@@ -46,7 +71,37 @@ class TestMemoization:
             got = _scaled(machine, chain)
             assert got == ref  # exact floats, not approx
 
-    def test_repeat_lookup_hits_and_is_interned(self, fig1_frozen):
+    @pytest.mark.parametrize("stream", LOOP_STREAMS, ids=range(len(LOOP_STREAMS)))
+    def test_expand_matches_reference_with_exponents(self, stream):
+        """Exponent bumps, in-body advances, body ends and partial
+        chains: cold (every chain a miss) and warm (every chain a hit)."""
+        fg = freeze(stream)
+        chains = _reachable(fg)
+        machine = SuccessorMachine(fg)
+        for chain in chains:
+            assert _scaled(machine, chain) == successors(fg, chain)
+        assert machine.misses == len(set(chains))
+        hits = machine.hits
+        for chain in chains:
+            assert _scaled(machine, chain) == successors(fg, chain)
+        assert machine.hits == hits + len(chains)
+        assert machine.misses == len(set(chains))
+
+    @pytest.mark.parametrize("stream", LOOP_STREAMS, ids=range(len(LOOP_STREAMS)))
+    def test_deterministic_next_matches_reference(self, stream):
+        """A cold machine answers every chain's step, deterministic or
+        not, as the reference traversal does."""
+        fg = freeze(stream)
+        machine = SuccessorMachine(fg)
+        for chain in _reachable(fg):
+            ref = successors(fg, chain)
+            if len(ref) == 1 and ref[0][1] == 1.0 and ref[0][0]:
+                expected = (ref[0][0], terminal_of(fg, ref[0][0]))
+            else:
+                expected = None
+            assert machine.deterministic_next(chain) == expected
+
+    def test_repeat_lookup_hits_and_is_shared(self, fig1_frozen):
         machine = SuccessorMachine(fig1_frozen)
         chain = initial_chain(fig1_frozen)
         first = machine.expand(chain)
@@ -54,16 +109,16 @@ class TestMemoization:
         second = machine.expand(chain)
         assert second is first  # same cached tuple, not a recomputation
         assert machine.hits == hits0 + 1
-        # an equal-but-distinct key also hits (and returns interned chains)
+        # an equal-but-distinct key also hits (and returns the cached tuple)
         clone = tuple(tuple(step) for step in chain)
         assert clone is not chain and clone == chain
         assert machine.expand(clone) is first
 
-    def test_successor_chains_interned_across_entries(self, fig1_frozen):
+    def test_successor_chains_shared_across_entries(self, fig1_frozen):
         machine = SuccessorMachine(fig1_frozen)
         chain = initial_chain(fig1_frozen)
         (succ, _w, _t) = machine.expand(chain)[0]
-        # expanding the successor interns it as a key: same tuple object
+        # expanding the successor keys it as given: same tuple object
         machine.expand(succ)
         (again, _w2, _t2) = machine.expand(chain)[0]
         assert again is succ
@@ -86,16 +141,18 @@ class TestMemoization:
 
 class TestDeterministicTable:
     def test_unique_successor_becomes_det_entry(self, fig1_frozen):
-        machine = SuccessorMachine(fig1_frozen)
         chain = initial_chain(fig1_frozen)
-        assert machine.deterministic_next(chain) is None  # not expanded yet
-        rel = machine.expand(chain)
-        det = machine.deterministic_next(chain)
-        if len(rel) == 1 and rel[0][2] is not None:
-            assert det == (rel[0][0], rel[0][2])
-            assert machine.det_hits == 1
-        else:
-            assert det is None
+        ((succ, rw, term),) = SuccessorMachine(fig1_frozen).expand(chain)
+        assert rw == 1.0
+        # a cold chain is expanded on demand: one miss, no table hit
+        machine = SuccessorMachine(fig1_frozen)
+        assert machine.deterministic_next(chain) == (succ, term)
+        assert machine.misses == 1
+        assert machine.det_hits == 0
+        # the second call is a warm table hit
+        assert machine.deterministic_next(chain) == (succ, term)
+        assert machine.misses == 1
+        assert machine.det_hits == 1
 
     def test_branching_chain_has_no_det_entry(self):
         fg = freeze([0, 1, 0, 1, 0, 1])  # ababab -> loop with exponent
@@ -108,6 +165,78 @@ class TestDeterministicTable:
                     assert machine.deterministic_next(chain) is None
                     return
         raise AssertionError("ababab must produce a branching chain")
+
+
+class TestColdWalk:
+    def test_cold_loop_walk_never_simulates(self, monkeypatch):
+        """An in-sync tracker over new loop iterations answers on the
+        deterministic walk alone, as compiled=False answers."""
+        stream = [9] + [0, 1, 2, 3] * 50
+        fg = freeze(stream)
+        compiled = PythiaPredict(fg)
+        reference = PythiaPredict(fg, compiled=False)
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("the deterministic walk fell back to _simulate")
+
+        monkeypatch.setattr(compiled, "_simulate", no_simulation)
+        for terminal in stream[:40]:
+            assert compiled.observe(terminal) == reference.observe(terminal)
+            # the first event is unique: one complete chain, known iterations
+            assert len(compiled.candidates) == 1
+            assert compiled.predict(16) == reference.predict(16)
+            assert compiled.predict(1) == reference.predict(1)
+        assert compiled.stats() == reference.stats()
+        assert fg.machine().misses > 0
+
+
+class TestSharedMachine:
+    def test_threads_missing_on_one_machine_agree_with_reference(self):
+        """Threads (more than cores) expand the same cold chains on one
+        small machine, so misses race each other and eviction: every
+        expansion stays exact, a deterministic step is never wrong, and
+        the table keeps its bound and ``set(_det) <= set(_memo)``."""
+        fg = freeze([9] + [0, 1, 2, 3] * 50 + [4] + ([0] * 3 + [1, 2] * 5) * 6)
+        chains = _reachable(fg)
+        expected = {c: successors(fg, c) for c in chains}
+        det_expected = {
+            c: (ref[0][0], terminal_of(fg, ref[0][0]))
+            if len(ref) == 1 and ref[0][1] == 1.0 and ref[0][0] else None
+            for c, ref in expected.items()
+        }
+        machine = SuccessorMachine(fg, max_entries=32)
+        errors: list[str] = []
+
+        def worker(offset: int) -> None:
+            order = chains[offset:] + chains[:offset]
+            try:
+                for _ in range(3):
+                    for chain in order:
+                        det = machine.deterministic_next(chain)
+                        if det is not None and det != det_expected[chain]:
+                            errors.append(f"wrong step for {chain!r}")
+                        if _scaled(machine, chain) != expected[chain]:
+                            errors.append(f"wrong expansion for {chain!r}")
+            except Exception as exc:  # a crashed worker must fail the test
+                errors.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(7 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert machine.evictions > 0
+        assert len(machine._memo) <= machine.max_entries
+        assert set(machine._det) <= set(machine._memo)
+        for chain in chains:
+            assert machine.deterministic_next(chain) == det_expected[chain]
 
 
 class TestBoundedMemory:

@@ -52,6 +52,24 @@ def test_interposers_load_only_the_oracle():
     assert [name for name in NOT_ON_THE_ORACLE_PATH if name in loaded] == []
 
 
+#: the serving tier, which a process that only talks to a daemon never runs
+NOT_ON_THE_CLIENT_PATH = [
+    "repro.server.daemon",
+    "repro.server.supervisor",
+    "repro.server.store",
+    "repro.server.eventloop",
+    "repro.obs.history",
+    "repro.obs.sessions",
+    "repro.obs.process",
+]
+
+
+def test_client_loads_no_serving_tier():
+    loaded = fresh_modules("import repro.server.client")
+    assert "repro.server.client" in loaded
+    assert [name for name in NOT_ON_THE_CLIENT_PATH if name in loaded] == []
+
+
 def test_documented_entry_points_still_resolve():
     loaded = fresh_modules(
         "from repro import Pythia\n"
