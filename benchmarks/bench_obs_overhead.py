@@ -9,6 +9,11 @@ benchmark robust on noisy CI machines.  Measured numbers are printed
 under ``-s`` and the headline figure is documented in the README's
 Observability section.
 
+Every test estimates its overhead the same way, with
+:func:`_paired_rounds`: the two sides run in alternating pairs, a
+round's figure is the median per-pair ratio, and the asserted figure is
+the smallest median over several rounds.
+
 Run with ``pytest benchmarks/bench_obs_overhead.py -s``.
 """
 
@@ -22,8 +27,10 @@ from repro.core.predict import PythiaPredict
 from repro.core.record import PythiaRecord
 from repro.obs import metrics as obs_metrics
 
-EVENTS = 60_000
-REPEATS = 5
+EVENTS = 20_000
+#: metrics off/on benchmark: rounds of alternating pairs
+METRICS_ROUNDS = 3
+METRICS_PAIRS = 24
 #: CI headroom over the documented <5% target
 MAX_OVERHEAD = 0.10
 
@@ -56,35 +63,77 @@ def _predict_run(grammar, terminals) -> None:
     pred.flush_metrics()
 
 
-def _measure(fn) -> tuple[float, float]:
-    """(best seconds with metrics off, best with metrics on) for ``fn``.
+def _paired_rounds(run_bare, run_traced, rounds: int, pairs: int):
+    """min-of-medians overhead plus best times for two workloads.
 
-    Off and on runs alternate within the repeats, the order flipping on
-    each repeat, so a change in host speed during the measurement lands
-    on both sides instead of reading as overhead.
+    ``run_bare`` and ``run_traced`` each run once and return their
+    seconds.  They run in alternating pairs (order flipped each pair); a
+    round's figure is the *median* of its per-pair overhead ratios, and
+    the reported figure is the smallest median over ``rounds``.  Within
+    a pair the machine speed is roughly constant, so each ratio isolates
+    the measured cost even on a host that switches between speeds; the
+    median rejects the pairs a scheduler hiccup lands in; and since
+    CPU-frequency drift can only *inflate* a whole round, the
+    least-contaminated round estimates the true cost.  Returns
+    ``(overhead, round medians, best bare seconds, best traced seconds)``.
     """
+    medians = []
+    bare_best = traced_best = float("inf")
+    for _ in range(rounds):
+        ratios = []
+        for i in range(pairs):
+            if i % 2:
+                traced = run_traced()
+                bare = run_bare()
+            else:
+                bare = run_bare()
+                traced = run_traced()
+            ratios.append(traced / bare - 1.0)
+            bare_best = min(bare_best, bare)
+            traced_best = min(traced_best, traced)
+        medians.append(statistics.median(ratios))
+    return min(medians), medians, bare_best, traced_best
+
+
+def _timed(fn, registry=None):
+    """``fn`` as a run returning its seconds, under ``registry`` if given."""
+
+    def run() -> float:
+        if registry is not None:
+            obs_metrics.set_registry(registry)
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    return run
+
+
+def _metrics_overhead(fn):
+    """:func:`_paired_rounds` of ``fn`` with metrics off against on."""
     prev = obs_metrics.get_registry()
-    backends = (obs_metrics.NullRegistry(), obs_metrics.MetricsRegistry())
-    best = [float("inf"), float("inf")]
+    off = _timed(fn, obs_metrics.NullRegistry())
+    on = _timed(fn, obs_metrics.MetricsRegistry())
     try:
-        for repeat in range(REPEATS):
-            for side in (0, 1) if repeat % 2 == 0 else (1, 0):
-                obs_metrics.set_registry(backends[side])
-                t0 = time.perf_counter()
-                fn()
-                best[side] = min(best[side], time.perf_counter() - t0)
+        off()  # warm both sides
+        on()
+        return _paired_rounds(off, on, METRICS_ROUNDS, METRICS_PAIRS)
     finally:
         obs_metrics.set_registry(prev)
-    return best[0], best[1]
+
+
+def _report(label: str, events: int, result, bare: str, traced: str) -> float:
+    overhead, medians, bare_best, traced_best = result
+    print(f"\n{label}: {events / bare_best:,.0f} ev/s {bare}, "
+          f"{events / traced_best:,.0f} ev/s {traced}; round medians "
+          f"{', '.join(f'{100 * m:+.1f}%' for m in medians)} "
+          f"-> overhead {100 * overhead:+.1f}%")
+    return overhead
 
 
 def test_record_overhead_under_bound():
     events = _stream(EVENTS)
-    off, on = _measure(lambda: _record_run(events))
-    overhead = on / off - 1.0
-    print(f"\nrecord: {EVENTS / off:,.0f} ev/s off, {EVENTS / on:,.0f} ev/s on "
-          f"-> overhead {100 * overhead:+.1f}%")
-    assert overhead < MAX_OVERHEAD
+    result = _metrics_overhead(lambda: _record_run(events))
+    assert _report("record", EVENTS, result, "off", "on") < MAX_OVERHEAD
 
 
 def test_predict_overhead_under_bound():
@@ -95,11 +144,8 @@ def test_predict_overhead_under_bound():
         rec.record_event(name, payload, None)
     grammar = rec.finish().grammar
     terminals = [registry.intern_name(name, payload) for name, payload in events]
-    off, on = _measure(lambda: _predict_run(grammar, terminals))
-    overhead = on / off - 1.0
-    print(f"predict: {EVENTS / off:,.0f} ev/s off, {EVENTS / on:,.0f} ev/s on "
-          f"-> overhead {100 * overhead:+.1f}%")
-    assert overhead < MAX_OVERHEAD
+    result = _metrics_overhead(lambda: _predict_run(grammar, terminals))
+    assert _report("predict", EVENTS, result, "off", "on") < MAX_OVERHEAD
 
 
 #: flight+drift budget from the issue: <5% (measured target ~2%)
@@ -126,20 +172,11 @@ def _watched_predict_run(grammar, terminals) -> None:
 
 def test_flight_and_drift_overhead_under_budget():
     """Flight recorder + drift monitor attached to the hot observe loop
-    must stay within the 5% budget (run journaling and the drift EWMA
-    refresh are amortized over 32-event strides and stretch to every
-    4th stride while calm; measured overhead is typically ~2-3%).
-
-    Measurement: bare and watched loops run in alternating pairs (order
-    flipped each iteration, after a warmup of each); a round's figure
-    is the *median* of its per-pair overhead ratios, and the asserted
-    figure is the smallest median over several independent rounds.
-    Within a pair the machine speed is roughly constant, so each ratio
-    isolates the watcher cost; the median rejects the pairs a scheduler
-    hiccup lands in; and since CPU-frequency drift can only *inflate* a
-    whole round, the least-contaminated round estimates the true cost.
-    A single global best-of flaps by several percent either way on a
-    busy host — see the docstring history of this file.
+    must stay within the 5% budget (the tracker feeds both one counter
+    delta every 32 events, stretched to every 4th boundary while calm;
+    measured overhead is typically ~2-3%).  Bare and watched loops are
+    compared by :func:`_paired_rounds` after a warmup of each, with the
+    same metrics backend on both sides to isolate the watcher cost.
     """
     events = _stream(WATCH_EVENTS)
     registry = EventRegistry()
@@ -148,42 +185,17 @@ def test_flight_and_drift_overhead_under_budget():
         rec.record_event(name, payload, None)
     grammar = rec.finish().grammar
     terminals = [registry.intern_name(name, payload) for name, payload in events]
+    bare = _timed(lambda: _predict_run(grammar, terminals))
+    watched = _timed(lambda: _watched_predict_run(grammar, terminals))
     prev = obs_metrics.get_registry()
-    medians = []
-    bare_best = watched_best = float("inf")
     try:
-        # same metrics backend on both sides: isolate the watcher cost
         obs_metrics.set_registry(obs_metrics.NullRegistry())
-        _predict_run(grammar, terminals)  # warm the successor machine
-        _watched_predict_run(grammar, terminals)
-        for _ in range(WATCH_ROUNDS):
-            ratios = []
-            for i in range(WATCH_PAIRS):
-                if i % 2:
-                    t0 = time.perf_counter()
-                    _watched_predict_run(grammar, terminals)
-                    watched = time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                    _predict_run(grammar, terminals)
-                    bare = time.perf_counter() - t0
-                else:
-                    t0 = time.perf_counter()
-                    _predict_run(grammar, terminals)
-                    bare = time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                    _watched_predict_run(grammar, terminals)
-                    watched = time.perf_counter() - t0
-                ratios.append(watched / bare - 1.0)
-                bare_best = min(bare_best, bare)
-                watched_best = min(watched_best, watched)
-            medians.append(statistics.median(ratios))
+        bare()  # warm the successor machine
+        watched()
+        result = _paired_rounds(bare, watched, WATCH_ROUNDS, WATCH_PAIRS)
     finally:
         obs_metrics.set_registry(prev)
-    overhead = min(medians)
-    print(f"flight+drift: {WATCH_EVENTS / bare_best:,.0f} ev/s bare, "
-          f"{WATCH_EVENTS / watched_best:,.0f} ev/s watched; round medians "
-          f"{', '.join(f'{100 * m:+.1f}%' for m in medians)} "
-          f"-> overhead {100 * overhead:+.1f}%")
+    overhead = _report("flight+drift", WATCH_EVENTS, result, "bare", "watched")
     assert overhead < MAX_WATCHER_OVERHEAD
 
 
@@ -297,34 +309,6 @@ CTX_EVENTS = 800
 CTX_ITERS = 100
 CTX_ROUNDS = 4
 CTX_PAIRS = 12
-
-
-def _paired_rounds(run_bare, run_traced, rounds: int, pairs: int):
-    """min-of-medians overhead plus best times for two workloads.
-
-    Same methodology as the watcher benchmark: traced and untraced
-    loops run in alternating pairs, a round's figure is the median
-    per-pair ratio, and the reported figure is the smallest median
-    across rounds — socket round trips are noisy, and the
-    min-of-medians rejects scheduler hiccups without letting
-    CPU-frequency drift inflate the result.
-    """
-    medians = []
-    bare_best = traced_best = float("inf")
-    for _ in range(rounds):
-        ratios = []
-        for i in range(pairs):
-            if i % 2:
-                traced = run_traced()
-                bare = run_bare()
-            else:
-                bare = run_bare()
-                traced = run_traced()
-            ratios.append(traced / bare - 1.0)
-            bare_best = min(bare_best, bare)
-            traced_best = min(traced_best, traced)
-        medians.append(statistics.median(ratios))
-    return min(medians), medians, bare_best, traced_best
 
 
 def test_context_propagation_overhead_under_budget(tmp_path):

@@ -20,7 +20,6 @@ Run: ``python examples/drift_monitor.py``
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import pathlib
@@ -119,11 +118,6 @@ def main() -> None:
             print(f"flight journal {path.name}: {len(entries)} entries {kinds}")
 
         oracle.finish()
-        # a live flight recorder dumps its journal once more at exit; the
-        # tracker and the drift monitor hold each other, so collect them
-        # here, while their directory still exists
-        del oracle, monitor, policy
-        gc.collect()
 
 
 if __name__ == "__main__":

@@ -61,7 +61,9 @@ class FrozenGrammar:
         ``{terminal: ((rule id, body index), ...)}`` — every occurrence.
     """
 
-    __slots__ = ("bodies", "occ", "uses", "terminal_positions", "trace_len", "_machine")
+    __slots__ = (
+        "bodies", "occ", "uses", "terminal_positions", "trace_len", "_machine", "__weakref__"
+    )
 
     def __init__(self, bodies: Mapping[int, tuple[tuple[int, int], ...]]) -> None:
         if ROOT not in bodies:
@@ -172,9 +174,10 @@ class FrozenGrammar:
 
         Created lazily; every tracker over this grammar (and, in the
         daemon, every session over the same trace bundle) shares one
-        machine so they warm one cache.  A creation race can build two
-        machines, of which the last assigned wins — both are correct,
-        one just wastes a little warm-up.
+        machine so they warm one cache.  The machine refers back to this
+        grammar weakly, so the two form no reference cycle.  A creation
+        race can build two machines, of which the last assigned wins —
+        both are correct, one just wastes a little warm-up.
         """
         m = self._machine
         if m is None:

@@ -144,7 +144,6 @@ class Pythia:
                 FlightRecorder(
                     self._flight_capacity,
                     session=f"{stem}.t{thread}",
-                    stride=self._drift.stride if self._drift is not None else 32,
                     dump_dir=self._flight_dump_dir,
                 )
             )
@@ -276,10 +275,11 @@ class Pythia:
         """Turn on drift monitoring (and flight recording) for this oracle.
 
         One :class:`~repro.obs.drift.DriftMonitor` is shared by every
-        thread's tracker (per-tracker deltas, one alarm state); each
-        tracker additionally gets a :class:`~repro.obs.flight.FlightRecorder`
-        of ``flight`` entries (0 disables).  Extra keyword arguments go
-        to the monitor (``stride``, ``alpha``, thresholds…).  Returns
+        thread's tracker (per-tracker deltas, one alarm state that every
+        thread's journal reads); each tracker additionally gets a
+        :class:`~repro.obs.flight.FlightRecorder` of ``flight`` entries
+        (0 disables).  Extra keyword arguments go to the monitor
+        (``alpha``, thresholds…; the cadence is the tracker's).  Returns
         the monitor — register fallback hooks with
         :meth:`~repro.obs.drift.DriftMonitor.on_transition` — or ``None``
         in record mode.  Idempotent: a second call returns the monitor

@@ -41,7 +41,7 @@ included).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from repro.core.explain import EventExplanation, Explanation, SourceChain
 from repro.core.frozen import FrozenGrammar
@@ -63,10 +63,29 @@ __all__ = ["Prediction", "PythiaPredict"]
 #: only bumps plain ints; scrapers call :meth:`PythiaPredict.flush_metrics`)
 METRICS_FLUSH_EVERY = 1024
 
+#: the watcher cadence: a tracker feeds its flight recorder and drift
+#: monitor one counter delta every this many observations
+WATCH_EVERY = 32
+
 #: watcher feeds skipped after a calm OK update (flight + drift see
-#: every 4th stride boundary while nothing is wrong; any anomaly resets
-#: this, so a workload switch is classified within two stride windows)
+#: every 4th boundary while nothing is wrong; any anomaly resets this,
+#: so a workload switch is classified within two windows)
 _WATCH_CALM_SKIP = 3
+
+#: the counter families a tracker publishes, as ``(name, help)``, in the
+#: order :meth:`PythiaPredict.flush_metrics` reads their values
+METRIC_FAMILIES: tuple[tuple[str, str], ...] = (
+    ("pythia_predict_observe_total", "Events observed by PYTHIA-PREDICT trackers"),
+    ("pythia_predict_matched_total", "Observed events that matched an expectation"),
+    ("pythia_predict_unexpected_total", "Observed events that mismatched (restart)"),
+    ("pythia_predict_unknown_total", "Observed events absent from the reference run"),
+    ("pythia_predict_predictions_total", "Future-event predictions served"),
+    ("pythia_predict_pruned_total", "Candidate chains dropped by pruning"),
+    ("pythia_predict_hits_total", "Predictions whose target event matched"),
+    ("pythia_predict_misses_total", "Predictions whose target event mismatched"),
+    ("pythia_predict_lost_total", "Tracker transitions into the lost state"),
+    ("pythia_predict_resyncs_total", "Tracker re-acquisitions after being lost"),
+)
 
 #: bound on the per-tracker timing-estimate memo (cleared when full)
 _ETA_CACHE_MAX = 16384
@@ -167,17 +186,20 @@ class PythiaPredict:
         #: candidate items summed over the memo's keys (<= _SIM_MEMO_ITEMS)
         self._sim_memo_items = 0
         #: optional observability hooks (see attach_flight / attach_drift).
-        #: The matched fast path never touches them: both are driven from
+        #: The matched fast path never touches them: both are fed from
         #: :meth:`_tick`, whose cadence ``_flush_every`` drops from
-        #: METRICS_FLUSH_EVERY to the attached watchers' stride.
+        #: METRICS_FLUSH_EVERY to WATCH_EVERY while either is attached.
         self.flight = None
         self.drift = None
         self._flush_every = METRICS_FLUSH_EVERY
         self._metrics_every = 1
         self._ticks = 0
-        #: remaining stride boundaries to skip feeding the watchers
-        #: (calm-stretch; cleared to 0 by the anomaly cold paths)
+        #: remaining watcher boundaries to skip (calm-stretch; cleared
+        #: to 0 by the anomaly cold paths)
         self._watch_skip = 0
+        #: counters at the last watcher feed: observed, matched,
+        #: unexpected, unknown, hits, misses, resyncs
+        self._fed = (0, 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # following the execution (§II-B)
@@ -247,20 +269,14 @@ class PythiaPredict:
             self.unknown += 1
             self.candidates = {}
             self.accuracy.note_observation(terminal, matched=False, lost=True, now=now)
-            self._watch_skip = 0
-            flight = self.flight
-            if flight is not None:
-                flight.anomaly("unknown", terminal, self)
+            self._anomaly("unknown", terminal)
             return False
         agg: dict[Chain, float] = {}
         for chain, w in restart:
             agg[chain] = agg.get(chain, 0.0) + w
         self.candidates = self._prune(agg)
         self.accuracy.note_observation(terminal, matched=False, lost=False, now=now)
-        self._watch_skip = 0
-        flight = self.flight
-        if flight is not None:
-            flight.anomaly("restart", terminal, self)
+        self._anomaly("restart", terminal)
         return False
 
     def observe_unknown(self, *, now: float | None = None) -> bool:
@@ -276,13 +292,17 @@ class PythiaPredict:
         self.unknown += 1
         self.candidates = {}
         self.accuracy.note_observation(None, matched=False, lost=True, now=now)
-        self._watch_skip = 0
-        flight = self.flight
-        if flight is not None:
-            flight.anomaly("unknown", None, self)
+        self._anomaly("unknown", None)
         if self._since_flush >= self._flush_every:
             self._tick()
         return False
+
+    def _anomaly(self, outcome: str, terminal: int | None) -> None:
+        """Cold-path hook of a restart or unknown event: the watchers
+        feed at full cadence again, and the flight recorder journals it."""
+        self._watch_skip = 0
+        if self.flight is not None:
+            self.flight.anomaly(outcome, terminal, self)
 
     def _prune_impl(self, cands: dict[Chain, float]) -> tuple[dict[Chain, float], int]:
         """One-pass normalize / filter / cap; returns (kept, dropped).
@@ -653,8 +673,8 @@ class PythiaPredict:
         """Attach a :class:`~repro.obs.flight.FlightRecorder` (None detaches).
 
         The recorder journals anomalies (restarts, unknown events) as
-        they happen and run summaries at every tick; see :meth:`_tick`
-        for the cost model.
+        they happen and one run summary per watcher feed; see
+        :meth:`_tick` for the cadence, which belongs to the tracker.
         """
         self.flight = flight
         self._retune()
@@ -662,52 +682,72 @@ class PythiaPredict:
     def attach_drift(self, monitor) -> None:
         """Attach a :class:`~repro.obs.drift.DriftMonitor` (None detaches).
 
-        The monitor consumes counter deltas at every tick; its
-        ``stride`` becomes the tick cadence, so the matched fast path
-        pays nothing per event beyond the existing ``_since_flush`` bump.
+        The monitor consumes the counter delta of every watcher feed
+        (see :meth:`_tick`), so the matched fast path pays nothing per
+        event beyond the existing ``_since_flush`` bump.  The monitor
+        may be shared by several trackers; it keeps no reference to any.
         """
         self.drift = monitor
         self._retune()
 
     def _retune(self) -> None:
-        strides = [w.stride for w in (self.drift, self.flight) if w is not None]
-        if strides:
-            self._flush_every = max(1, min(strides))
-            self._metrics_every = max(1, METRICS_FLUSH_EVERY // self._flush_every)
-        else:
+        if self.flight is None and self.drift is None:
             self._flush_every = METRICS_FLUSH_EVERY
             self._metrics_every = 1
+        else:
+            self._flush_every = WATCH_EVERY
+            self._metrics_every = METRICS_FLUSH_EVERY // WATCH_EVERY
         self._ticks = 0
         self._watch_skip = 0
 
-    def _tick(self) -> None:
-        """Strided hook off the observe hot path.
+    def feed_watchers(self) -> None:
+        """Hand the counter delta since the last feed to the watchers.
 
-        Observations only bump ``_since_flush``; every ``_flush_every``
-        of them this journals a flight run entry, feeds the drift
-        monitor and flushes metrics every METRICS_FLUSH_EVERY
-        observations — the same cadence as before watchers existed.
+        The delta (observed, matched, unexpected, unknown, hits, misses,
+        resyncs) is computed once and passed to the flight recorder, then
+        to the drift monitor; a no-op without watchers or new events.
+        :meth:`_tick` calls it; call it to absorb a trailing partial block.
+        """
+        flight = self.flight
+        drift = self.drift
+        if flight is None and drift is None:
+            return
+        prev = self._fed
+        if self.observed == prev[0]:
+            return
+        acc = self.accuracy
+        self._fed = now = (self.observed, self.matched, self.unexpected, self.unknown,
+                           acc.hits, acc.misses, acc.resyncs + acc.unexpected_restarts)
+        delta = tuple(map(sub, now, prev))
+        if flight is not None:
+            flight.tick(self, delta)
+        if drift is not None:
+            drift.update(self, delta)
+
+    def _tick(self) -> None:
+        """Hook off the observe hot path, every ``_flush_every`` events.
+
+        Observations only bump ``_since_flush``.  With a flight recorder
+        or a drift monitor attached this runs at the tracker's one
+        watcher cadence, :data:`WATCH_EVERY`, and feeds both through
+        :meth:`feed_watchers`; metrics flush every METRICS_FLUSH_EVERY
+        observations either way.
 
         While the monitor reports OK and the window had no anomalies the
-        watcher feed stretches to every ``_WATCH_CALM_SKIP + 1``-th
-        boundary — the flight journal is run-length compressed anyway,
-        so a calm run entry simply covers a longer block.  The anomaly
-        cold paths zero ``_watch_skip``, so after a workload switch the
-        monitor sees a mostly-anomalous window within at most two stride
-        lengths — stride 32 keeps the classify-a-switch latency at or
-        under 63 events — and the journal snaps back to per-stride
-        granularity for the storm.  Without a drift monitor nothing is
-        ever skipped: a lone flight recorder journals every boundary.
+        feed stretches to every ``_WATCH_CALM_SKIP + 1``-th boundary: a
+        calm run entry simply covers a longer block.  The anomaly cold
+        paths zero ``_watch_skip``, so after a workload switch the
+        monitor sees a mostly-anomalous window within two windows (at
+        most 63 events) and the journal snaps back to one entry per
+        window.  Without a drift monitor nothing is ever skipped.
         """
         self._since_flush = 0
         if self._watch_skip > 0:
             self._watch_skip -= 1
         else:
-            flight = self.flight
-            if flight is not None:
-                flight.tick(self)
+            self.feed_watchers()
             drift = self.drift
-            if drift is not None and drift.update(self) == "ok":
+            if drift is not None and drift.state == "ok":
                 self._watch_skip = _WATCH_CALM_SKIP
         self._ticks += 1
         if self._ticks >= self._metrics_every:
@@ -752,23 +792,14 @@ class PythiaPredict:
         if not reg.enabled:
             return
         acc = self.accuracy
-        current = {
-            "pythia_predict_observe_total": self.observed,
-            "pythia_predict_matched_total": self.matched,
-            "pythia_predict_unexpected_total": self.unexpected,
-            "pythia_predict_unknown_total": self.unknown,
-            "pythia_predict_predictions_total": self.predictions,
-            "pythia_predict_pruned_total": self.pruned,
-            "pythia_predict_hits_total": acc.hits,
-            "pythia_predict_misses_total": acc.misses,
-            "pythia_predict_lost_total": acc.lost_events,
-            "pythia_predict_resyncs_total": acc.resyncs,
-        }
+        values = (self.observed, self.matched, self.unexpected, self.unknown,
+                  self.predictions, self.pruned, acc.hits, acc.misses,
+                  acc.lost_events, acc.resyncs)
         flushed = self._flushed
-        for name, value in current.items():
+        for (name, help_text), value in zip(METRIC_FAMILIES, values, strict=True):
             delta = value - flushed.get(name, 0)
             if delta:
-                reg.counter(name).inc(delta)
+                reg.counter(name, help=help_text).inc(delta)
                 flushed[name] = value
         reg.histogram(
             "pythia_predict_candidates",

@@ -23,6 +23,15 @@ from repro.obs.spans import span
 #: only bumps a local int; see the README's overhead benchmark)
 METRICS_FLUSH_EVERY = 4096
 
+#: the counter families a recorder publishes, as ``(name, help)``: events,
+#: rules created, exponent merges
+METRIC_FAMILIES: tuple[tuple[str, str], ...] = (
+    ("pythia_record_events_total", "Events ingested by PYTHIA-RECORD"),
+    ("pythia_record_rules_created_total", "Grammar rules created while recording"),
+    ("pythia_record_exponent_merges_total",
+     "Consecutive-repetition exponent merges while recording"),
+)
+
 
 @dataclass(slots=True)
 class ThreadTrace:
@@ -60,15 +69,8 @@ class PythiaRecord:
         self._events: dict[tuple[str, Hashable], Event] = {}
         self._finished = False
         reg = obs_metrics.get_registry()
-        self._m_events = reg.counter(
-            "pythia_record_events_total", help="Events ingested by PYTHIA-RECORD"
-        )
-        self._m_rules = reg.counter(
-            "pythia_record_rules_created_total", help="Grammar rules created while recording"
-        )
-        self._m_merges = reg.counter(
-            "pythia_record_exponent_merges_total",
-            help="Consecutive-repetition exponent merges while recording",
+        self._m_events, self._m_rules, self._m_merges = (
+            reg.counter(name, help=help_text) for name, help_text in METRIC_FAMILIES
         )
         self._unflushed_events = 0
         self._flushed_rules = 0

@@ -8,7 +8,9 @@ the SLP-compressed trace directly, the grammar can be *compiled* into
 lookup structures once and the steady-state step becomes a dictionary
 hit.  One machine is shared per grammar (``FrozenGrammar.machine()``),
 so every tracker — and, in the oracle daemon, every concurrent session
-over the same trace — warms the same cache.
+over the same trace — warms the same cache.  The grammar owns its
+machine, which holds the grammar only weakly (no reference cycle); only
+cold paths dereference it.
 
 What is cached
 --------------
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from itertools import islice
 
 from repro.core.frozen import FrozenGrammar
@@ -72,6 +75,15 @@ __all__ = ["DEFAULT_MAX_ENTRIES", "SuccessorMachine"]
 
 #: default memo capacity (chains); ~a few hundred bytes per entry
 DEFAULT_MAX_ENTRIES = 65536
+
+#: the counter families a machine publishes, as ``(name, help)``, in the
+#: order :meth:`SuccessorMachine.flush_metrics` reads their values
+METRIC_FAMILIES: tuple[tuple[str, str], ...] = (
+    ("pythia_successor_cache_hits_total", "Successor-machine memo hits"),
+    ("pythia_successor_cache_misses_total", "Successor-machine memo misses"),
+    ("pythia_successor_cache_evictions_total", "Successor-machine memo evictions"),
+    ("pythia_successor_det_hits_total", "Deterministic-transition fast-path hits"),
+)
 
 #: Expansion = ((successor chain, relative weight, terminal | None), ...)
 Expansion = tuple[tuple[Chain, float, int | None], ...]
@@ -100,14 +112,15 @@ class SuccessorMachine:
     Parameters
     ----------
     grammar:
-        The immutable grammar to compile against.
+        The immutable grammar to compile against, held weakly (the
+        caller keeps it alive, as ``FrozenGrammar.machine()`` does).
     max_entries:
         Memo capacity; ``None`` reads ``PYTHIA_SUCCESSOR_CACHE`` and
         falls back to :data:`DEFAULT_MAX_ENTRIES`.
     """
 
     __slots__ = (
-        "grammar",
+        "_grammar",
         "max_entries",
         "_memo",
         "_det",
@@ -120,10 +133,11 @@ class SuccessorMachine:
         "evictions",
         "det_hits",
         "_flushed",
+        "__weakref__",
     )
 
     def __init__(self, grammar: FrozenGrammar, *, max_entries: int | None = None) -> None:
-        self.grammar = grammar
+        self._grammar = weakref.ref(grammar)
         self.max_entries = _env_max_entries() if max_entries is None else int(max_entries)
         if self.max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -138,6 +152,14 @@ class SuccessorMachine:
         self.evictions = 0
         self.det_hits = 0
         self._flushed: dict[str, int] = {}
+
+    @property
+    def grammar(self) -> FrozenGrammar:
+        """The compiled grammar (a weak reference; only cold paths read it)."""
+        fg = self._grammar()
+        if fg is None:
+            raise ReferenceError("the successor machine's grammar was freed")
+        return fg
 
     # ------------------------------------------------------------------
     # the compiled lookups
@@ -290,21 +312,16 @@ class SuccessorMachine:
         if not reg.enabled:
             return
         with self._lock:
-            current = {
-                "pythia_successor_cache_hits_total": self.hits,
-                "pythia_successor_cache_misses_total": self.misses,
-                "pythia_successor_cache_evictions_total": self.evictions,
-                "pythia_successor_det_hits_total": self.det_hits,
-            }
-            deltas = {}
-            for name, value in current.items():
+            values = (self.hits, self.misses, self.evictions, self.det_hits)
+            deltas = []
+            for (name, help_text), value in zip(METRIC_FAMILIES, values, strict=True):
                 delta = value - self._flushed.get(name, 0)
                 if delta > 0:
-                    deltas[name] = delta
+                    deltas.append((name, help_text, delta))
                     self._flushed[name] = value
             entries = len(self._memo)
-        for name, delta in deltas.items():
-            reg.counter(name).inc(delta)
+        for name, help_text, delta in deltas:
+            reg.counter(name, help=help_text).inc(delta)
         reg.gauge(
             "pythia_successor_cache_entries", help="Memoized successor expansions"
         ).set(entries)

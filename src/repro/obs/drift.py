@@ -22,13 +22,15 @@ default thread counts while DIVERGED.
 
 Cost model: the monitor is *not* fed per event.  The tracker's hot path
 already counts observations toward a flush threshold; attaching a
-monitor lowers that threshold to ``stride`` (default 32) and
-:meth:`DriftMonitor.update` reads counter **deltas** at each stride
-boundary — the matched fast path pays zero additional work per event.
-While the state is OK and a window saw no anomalies the tracker
-stretches the feed to every 4th boundary; any unexpected restart or
-unknown event snaps it back, so a switch is still classified within
-two stride windows (see ``bench_obs_overhead.py``).
+monitor lowers that threshold to the tracker's watcher cadence
+(:data:`~repro.core.predict.WATCH_EVERY`, 32) and the tracker hands
+:meth:`DriftMonitor.update` one counter **delta** per boundary — the
+matched fast path pays zero additional work per event.  While the state
+is OK and a window saw no anomalies the tracker stretches the feed to
+every 4th boundary; any unexpected restart or unknown event snaps it
+back, so a switch is still classified within two windows (see
+``bench_obs_overhead.py``).  The monitor keeps no reference to a
+tracker, and flight recorders read its :attr:`state` rather than a copy.
 """
 
 from __future__ import annotations
@@ -102,15 +104,14 @@ class DriftMonitor:
 
     Attach with :meth:`~repro.core.predict.PythiaPredict.attach_drift`;
     one monitor may be shared by several trackers (per-thread sessions
-    of one process) — deltas are kept per tracker, the alarm state is
-    shared.  Thresholds are ``(drifting, diverged)`` pairs measured as
+    of one process) — each tracker feeds its own deltas, the alarm state
+    is shared.  Thresholds are ``(drifting, diverged)`` pairs measured as
     the gap from the baseline; recovery requires ``recover_after``
     consecutive calmer classifications (hysteresis against flapping).
     """
 
     __slots__ = (
         "baseline",
-        "stride",
         "alpha",
         "hit_drop",
         "unseen",
@@ -118,7 +119,6 @@ class DriftMonitor:
         "entropy_rise",
         "recover_after",
         "gauge_every",
-        "flight",
         "state",
         "events",
         "updates",
@@ -129,9 +129,6 @@ class DriftMonitor:
         "transitions",
         "callbacks",
         "_calm_streak",
-        "_last_trk",
-        "_last_prev",
-        "_prev_map",
         "_floor_hit_1",
         "_floor_hit_2",
         "_ceil_unseen_1",
@@ -140,13 +137,13 @@ class DriftMonitor:
         "_ceil_resync_2",
         "_ceil_entropy_1",
         "_ceil_entropy_2",
+        "__weakref__",
     )
 
     def __init__(
         self,
         baseline: DriftBaseline | None = None,
         *,
-        stride: int = 32,
         alpha: float = 0.4,
         hit_drop: tuple[float, float] = (0.15, 0.40),
         unseen: tuple[float, float] = (0.10, 0.35),
@@ -154,14 +151,10 @@ class DriftMonitor:
         entropy_rise: tuple[float, float] = (1.0, 3.0),
         recover_after: int = 3,
         gauge_every: int = 8,
-        flight=None,
     ) -> None:
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.baseline = baseline if baseline is not None else DriftBaseline()
-        self.stride = stride
         self.alpha = alpha
         self.hit_drop = hit_drop
         self.unseen = unseen
@@ -169,9 +162,6 @@ class DriftMonitor:
         self.entropy_rise = entropy_rise
         self.recover_after = recover_after
         self.gauge_every = gauge_every
-        #: fallback flight recorder for transition journaling when the
-        #: triggering tracker has none attached
-        self.flight = flight
         self.state = OK
         self.events = 0
         self.updates = 0
@@ -182,11 +172,6 @@ class DriftMonitor:
         self.transitions: list[dict] = []
         self.callbacks: list = []
         self._calm_streak = 0
-        # per-tracker counter snapshots: a one-slot fast path for the
-        # dominant single-tracker case, a dict for shared monitors
-        self._last_trk = None
-        self._last_prev = (0, 0, 0, 0, 0)
-        self._prev_map: dict = {}
         # thresholds as absolute signal levels (baseline is fixed at
         # construction), so the steady-state update is four comparisons
         base = self.baseline
@@ -211,42 +196,26 @@ class DriftMonitor:
         self.callbacks.append(callback)
         return callback
 
-    def update(self, tracker) -> str:
-        """Consume the counter delta since this tracker's last update.
+    def update(self, tracker, delta: tuple) -> None:
+        """Consume one block's counter ``delta`` (``observed > 0``) from
+        :meth:`~repro.core.predict.PythiaPredict.feed_watchers`.
 
-        Called by the tracker every ``stride`` observations; safe to
-        call at any time (a no-op when nothing was observed since).
-        Returns the (possibly new) state.
+        ``tracker`` is read for its candidates and its flight recorder
+        (which journals a transition), never kept.
         """
-        observed = tracker.observed
-        if tracker is self._last_trk:
-            prev = self._last_prev
-        else:
-            if self._last_trk is not None:
-                self._prev_map[self._last_trk] = self._last_prev
-            self._last_trk = tracker
-            prev = self._prev_map.get(tracker, (0, 0, 0, 0, 0))
-        delta = observed - prev[0]
-        if delta <= 0:
-            return self.state
-        acc = tracker.accuracy
-        hits = acc.hits
-        misses = acc.misses
-        unknown = tracker.unknown
-        resyncs = acc.resyncs + acc.unexpected_restarts
-        self._last_prev = (observed, hits, misses, unknown, resyncs)
+        observed = delta[0]
         alpha = self.alpha
-        d_hits = hits - prev[1]
-        d_scored = d_hits + (misses - prev[2])
+        d_hits = delta[4]
+        d_scored = d_hits + delta[5]
         hit_ewma = self.hit_ewma
         if d_scored:
             hit_ewma += alpha * (d_hits / d_scored - hit_ewma)
             self.hit_ewma = hit_ewma
-        ratio = (unknown - prev[3]) / delta
+        ratio = delta[3] / observed
         unseen_ewma = self.unseen_ewma
         unseen_ewma += alpha * ((ratio if ratio < 1.0 else 1.0) - unseen_ewma)
         self.unseen_ewma = unseen_ewma
-        ratio = (resyncs - prev[4]) / delta
+        ratio = delta[6] / observed
         resync_ewma = self.resync_ewma
         resync_ewma += alpha * ((ratio if ratio < 1.0 else 1.0) - resync_ewma)
         self.resync_ewma = resync_ewma
@@ -261,7 +230,7 @@ class DriftMonitor:
         entropy_ewma = self.entropy_ewma
         entropy_ewma += alpha * (entropy - entropy_ewma)
         self.entropy_ewma = entropy_ewma
-        self.events += delta
+        self.events += observed
         self.updates += 1
         if (
             hit_ewma > self._floor_hit_1
@@ -274,12 +243,11 @@ class DriftMonitor:
             if self.state is OK:
                 self._calm_streak = 0
             else:
-                self._advance(0, tracker)
+                self._advance(0, tracker.flight)
         else:
-            self._advance(self._classify(), tracker)
+            self._advance(self._classify(), tracker.flight)
         if self.updates % self.gauge_every == 0:
             self._publish()
-        return self.state
 
     # ------------------------------------------------------------------
 
@@ -300,21 +268,23 @@ class DriftMonitor:
             return 1
         return 0
 
-    def _advance(self, level: int, tracker) -> None:
+    def _advance(self, level: int, flight) -> None:
         code = STATE_CODES[self.state]
         if level > code:
             # escalate immediately: an alarm must not wait out hysteresis
             self._calm_streak = 0
-            self._transition(_STATE_NAMES[level], tracker)
+            self._transition(_STATE_NAMES[level], flight)
         elif level < code:
             self._calm_streak += 1
             if self._calm_streak >= self.recover_after:
                 self._calm_streak = 0
-                self._transition(_STATE_NAMES[level], tracker)
+                self._transition(_STATE_NAMES[level], flight)
         else:
             self._calm_streak = 0
 
-    def _transition(self, new: str, tracker) -> None:
+    def _transition(self, new: str, flight) -> None:
+        """Enter ``new``; ``flight`` (the triggering tracker's recorder, or
+        None) journals the transition and dumps."""
         old = self.state
         self.state = new
         snapshot = self.snapshot()
@@ -331,12 +301,7 @@ class DriftMonitor:
             entropy=round(self.entropy_ewma, 4),
         )
         self._publish()
-        flight = getattr(tracker, "flight", None) if tracker is not None else None
-        if flight is None:
-            flight = self.flight
         if flight is not None:
-            flight.state = new
-            flight.state_code = STATE_CODES[new]
             flight.mark_transition(old, new, snapshot)
             flight.dump()
         for callback in self.callbacks:
@@ -400,7 +365,6 @@ def baseline_from_replay(
     distance: int = 1,
     predict_every: int = 1,
     max_candidates: int = 64,
-    stride: int = 32,
     alpha: float = 0.4,
 ) -> DriftBaseline:
     """Capture a :class:`DriftBaseline` by replaying reference events.
@@ -409,11 +373,11 @@ def baseline_from_replay(
     stream the reference grammar was recorded from), predicting every
     ``predict_every`` events at ``distance``, and returns the lifetime
     signal levels — what a live run *matching the reference* should
-    sustain.  Entropy is the EWMA a monitor with the same ``stride`` /
-    ``alpha`` would have settled on.
+    sustain.  Entropy is the EWMA a monitor with the same ``alpha``,
+    fed at the tracker's cadence, would have settled on.
     """
     tracker = PythiaPredict(grammar, timing, max_candidates=max_candidates)
-    probe = DriftMonitor(stride=stride, alpha=alpha)
+    probe = DriftMonitor(alpha=alpha)
     tracker.attach_drift(probe)
     count = 0
     for terminal in events:
@@ -421,7 +385,7 @@ def baseline_from_replay(
         count += 1
         if predict_every and count % predict_every == 0:
             tracker.predict(distance)
-    probe.update(tracker)  # absorb the tail block
+    tracker.feed_watchers()  # absorb the tail block
     accuracy = tracker.accuracy
     scored = accuracy.hits + accuracy.misses
     observed = tracker.observed

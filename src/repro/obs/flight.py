@@ -8,16 +8,19 @@ that, cheap enough to leave on in production:
 
 - **anomalies** (unexpected restarts, unknown events) are journaled
   eagerly with full detail — those tracker paths are already cold;
-- **steady state** is run-length compressed: every tracker tick (the
-  attached watchers' ``stride``, default every 32 observations;
-  stretched to every 4th boundary while a co-attached drift monitor
-  reports calm) one ``run`` entry summarizes the block — observations,
-  matches, candidate count, drift state, the latest prediction — so an
-  in-sync stream costs a few nanoseconds per event, not an entry per
-  event;
+- **steady state** is run-length compressed: at every watcher feed of
+  the tracker (every :data:`~repro.core.predict.WATCH_EVERY`
+  observations, stretched to every 4th boundary while a co-attached
+  drift monitor reports calm) one ``run`` entry summarizes the block's
+  counter delta — observations, matches, candidate count, drift state,
+  the latest prediction — so an in-sync stream costs a few nanoseconds
+  per event, not an entry per event;
 - **drift transitions** are journaled by the
   :class:`~repro.obs.drift.DriftMonitor` with a full signal snapshot,
   and trigger :meth:`FlightRecorder.dump`.
+
+The recorder keeps no copy of the tracker's counters or drift state: an
+entry's ``drift_state`` is read from the tracker's monitor when written.
 
 The journal exports as JSONL (:meth:`to_jsonl`) and as a Chrome-trace
 object (:meth:`to_chrome_trace`) loadable in ``chrome://tracing`` /
@@ -37,6 +40,7 @@ import weakref
 from time import perf_counter
 
 from repro.obs import journal
+from repro.obs.drift import STATE_CODES
 
 __all__ = ["FlightRecorder", "active_recorders", "dump_active"]
 
@@ -54,19 +58,15 @@ class FlightRecorder:
     """Bounded journal of one oracle session's recent history.
 
     Attach with :meth:`~repro.core.predict.PythiaPredict.attach_flight`.
-    ``state`` / ``state_code`` mirror the session's drift state (written
-    by the :class:`~repro.obs.drift.DriftMonitor` on transitions) and
-    ``last_pred`` the latest prediction — both are plain attributes so
-    the tracker's hot paths pay one pointer store, not a method call.
+    ``last_pred`` / ``last_distance`` hold the latest prediction — plain
+    attributes, so the tracker's predict path pays two pointer stores,
+    not a method call.
     """
 
     __slots__ = (
         "capacity",
         "session",
-        "stride",
         "dump_dir",
-        "state",
-        "state_code",
         "last_pred",
         "last_distance",
         "dumps",
@@ -74,10 +74,6 @@ class FlightRecorder:
         "_head",
         "_count",
         "_seq",
-        "_prev_observed",
-        "_prev_matched",
-        "_prev_unexpected",
-        "_prev_unknown",
         "_tid",
         "__weakref__",
     )
@@ -87,19 +83,13 @@ class FlightRecorder:
         capacity: int = DEFAULT_CAPACITY,
         *,
         session: str = "pythia",
-        stride: int = 32,
         dump_dir: str | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
         self.capacity = capacity
         self.session = session
-        self.stride = stride
         self.dump_dir = dump_dir
-        self.state = "ok"
-        self.state_code = 0
         #: latest Prediction object and its query distance — existing
         #: references, so the predict hot path stores two pointers and
         #: allocates nothing
@@ -112,11 +102,6 @@ class FlightRecorder:
         self._head = 0
         self._count = 0
         self._seq = 0
-        # tracker counters at the last tick
-        self._prev_observed = 0
-        self._prev_matched = 0
-        self._prev_unexpected = 0
-        self._prev_unknown = 0
         self._tid = next(_IDS)
         _ACTIVE.add(self)
 
@@ -146,42 +131,22 @@ class FlightRecorder:
     # feeding (called by the tracker / drift monitor)
     # ------------------------------------------------------------------
 
-    def tick(self, tracker) -> None:
-        """Journal one run-length entry summarizing the block since the
-        last tick; called by the tracker every ``stride`` observations."""
-        observed = tracker.observed
-        delta = observed - self._prev_observed
-        if delta <= 0:
-            return
-        matched = tracker.matched
-        unexpected = tracker.unexpected
-        unknown = tracker.unknown
+    def tick(self, tracker, delta: tuple) -> None:
+        """Journal one run entry from the counter ``delta`` the tracker's
+        watcher feed hands over (``observed > 0``)."""
         self._seq = seq = self._seq + 1
-        # _slot(), inlined: this is the only journaling call on the
-        # steady-state path
-        ring = self._ring
-        i = self._head
-        entry = ring[i]
-        if entry is None:
-            entry = ring[i] = [None] * 11
-        self._head = (i + 1) % self.capacity
-        if self._count < self.capacity:
-            self._count += 1
+        entry = self._slot()
         entry[0] = seq
         entry[1] = perf_counter()
         entry[2] = "run"
-        entry[3] = delta
-        entry[4] = matched - self._prev_matched
-        entry[5] = unexpected - self._prev_unexpected
-        entry[6] = unknown - self._prev_unknown
+        entry[3] = delta[0]
+        entry[4] = delta[1]
+        entry[5] = delta[2]
+        entry[6] = delta[3]
         entry[7] = len(tracker.candidates)
-        entry[8] = self.state_code
+        entry[8] = _drift_code(tracker)
         entry[9] = self.last_distance
         entry[10] = self.last_pred
-        self._prev_observed = observed
-        self._prev_matched = matched
-        self._prev_unexpected = unexpected
-        self._prev_unknown = unknown
 
     def anomaly(self, outcome: str, terminal: int | None, tracker) -> None:
         """Journal one anomalous observation (``restart`` / ``unknown``)
@@ -196,7 +161,7 @@ class FlightRecorder:
             if last[2] == "observe" and last[3] == outcome and last[4] == terminal:
                 last[1] = perf_counter()
                 last[5] = len(tracker.candidates)
-                last[6] = self.state_code
+                last[6] = _drift_code(tracker)
                 last[7] = self.last_distance
                 last[8] = self.last_pred
                 last[9] = last[9] + 1
@@ -209,7 +174,7 @@ class FlightRecorder:
         entry[3] = outcome
         entry[4] = terminal
         entry[5] = len(tracker.candidates)
-        entry[6] = self.state_code
+        entry[6] = _drift_code(tracker)
         entry[7] = self.last_distance
         entry[8] = self.last_pred
         entry[9] = 1
@@ -353,6 +318,12 @@ class FlightRecorder:
         journal.dump(target, self.entries())
         self.dumps += 1
         return target
+
+
+def _drift_code(tracker) -> int:
+    """The gauge code of the tracker's drift state; 0 without a monitor."""
+    drift = tracker.drift
+    return 0 if drift is None else STATE_CODES[drift.state]
 
 
 def _safe_name(session: str) -> str:

@@ -102,7 +102,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.events import Event
+from repro.core.predict import METRIC_FAMILIES as PREDICT_FAMILIES
 from repro.core.predict import PythiaPredict
+from repro.core.record import METRIC_FAMILIES as RECORD_FAMILIES
+from repro.core.successor import METRIC_FAMILIES as SUCCESSOR_FAMILIES
 from repro.core.trace_file import TraceFormatError
 from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
@@ -141,27 +144,13 @@ _log = get_logger("server")
 #: the largest tracker bound an ``open_session`` may ask for
 MAX_CANDIDATES_LIMIT = 4096
 
-#: metric families pre-registered at daemon start so `pythia-trace
-#: metrics` exposes them (at zero) before any instrumented code ran
+#: counter families pre-registered at daemon start so `pythia-trace
+#: metrics` exposes them (at zero) before any instrumented code ran;
+#: each module declares the families it publishes
 _METRIC_CATALOGUE: tuple[tuple[str, str], ...] = (
-    ("pythia_record_events_total", "Events ingested by PYTHIA-RECORD"),
-    ("pythia_record_rules_created_total", "Grammar rules created while recording"),
-    ("pythia_record_exponent_merges_total",
-     "Consecutive-repetition exponent merges while recording"),
-    ("pythia_predict_observe_total", "Events observed by PYTHIA-PREDICT trackers"),
-    ("pythia_predict_matched_total", "Observed events that matched an expectation"),
-    ("pythia_predict_unexpected_total", "Observed events that mismatched (restart)"),
-    ("pythia_predict_unknown_total", "Observed events absent from the reference run"),
-    ("pythia_predict_predictions_total", "Future-event predictions served"),
-    ("pythia_predict_pruned_total", "Candidate chains dropped by pruning"),
-    ("pythia_predict_hits_total", "Predictions whose target event matched"),
-    ("pythia_predict_misses_total", "Predictions whose target event mismatched"),
-    ("pythia_predict_lost_total", "Tracker transitions into the lost state"),
-    ("pythia_predict_resyncs_total", "Tracker re-acquisitions after being lost"),
-    ("pythia_successor_cache_hits_total", "Successor-machine memo hits"),
-    ("pythia_successor_cache_misses_total", "Successor-machine memo misses"),
-    ("pythia_successor_cache_evictions_total", "Successor-machine memo evictions"),
-    ("pythia_successor_det_hits_total", "Deterministic-transition fast-path hits"),
+    *RECORD_FAMILIES,
+    *PREDICT_FAMILIES,
+    *SUCCESSOR_FAMILIES,
 )
 
 
@@ -1114,13 +1103,42 @@ class OracleServer:
         table = self.session_stats.snapshot()
         with self._lock:
             live = list(self._sessions.values())
+        joined = self._join_live(live, [row["sid"] for row in table["sessions"]])
+        for row in table["sessions"]:
+            got = joined.get(row["sid"])
+            if got is None:
+                row["live_sessions"] = []
+                continue
+            row["live_sessions"], agg, drift_states = got
+            row["hit_rate"] = round(agg.get("hit_rate", 0.0), 4)
+            row["observed"] = agg.get("observed", 0)
+            row["candidates"] = agg.get("candidates", 0)
+            # worst state wins: any diverged tracker flags the session
+            for state in ("diverged", "drifting", "ok"):
+                if state in drift_states:
+                    row["drift_state"] = state
+                    break
+        return table
+
+    @staticmethod
+    def _join_live(
+        live: list[_Session], sids: list[str]
+    ) -> dict[str, tuple[list[str], dict, list[str]]]:
+        """Join live daemon sessions to the client session ids ``sids``.
+
+        For each id that owns live sessions: their sorted session ids,
+        the :func:`aggregate_stats` of their trackers' ``stats()`` and
+        their trackers' drift states, each tracker read under its
+        session's lock.  The ``sessions`` op and the per-session metrics
+        collector both read this.
+        """
         by_sid: dict[str, list[_Session]] = {}
         for session in live:
             if session.ctx_sid is not None:
                 by_sid.setdefault(session.ctx_sid, []).append(session)
-        for row in table["sessions"]:
-            owned = by_sid.get(row["sid"], [])
-            row["live_sessions"] = sorted(s.session_id for s in owned)
+        joined = {}
+        for sid in sids:
+            owned = by_sid.get(sid)
             if not owned:
                 continue
             reports = []
@@ -1131,16 +1149,12 @@ class OracleServer:
                     drift = session.tracker.drift
                     if drift is not None:
                         drift_states.append(drift.state)
-            agg = aggregate_stats(reports)
-            row["hit_rate"] = round(agg.get("hit_rate", 0.0), 4)
-            row["observed"] = agg.get("observed", 0)
-            row["candidates"] = agg.get("candidates", 0)
-            # worst state wins: any diverged tracker flags the session
-            for state in ("diverged", "drifting", "ok"):
-                if state in drift_states:
-                    row["drift_state"] = state
-                    break
-        return table
+            joined[sid] = (
+                sorted(s.session_id for s in owned),
+                aggregate_stats(reports),
+                drift_states,
+            )
+        return joined
 
     #: labeled per-session families published by the collector; removed
     #: on LRU eviction so exposition cardinality stays bounded
@@ -1268,13 +1282,11 @@ class OracleServer:
                 session.tracker.flush_metrics()
         # labeled per-client-session series; bounded by the LRU table
         # (eviction removes a sid's series via _drop_session_metrics)
-        by_sid: dict[str, list[_Session]] = {}
-        for session in sessions:
-            if session.ctx_sid is not None:
-                by_sid.setdefault(session.ctx_sid, []).append(session)
+        entries = self.session_stats.entries()
+        joined = self._join_live(sessions, [entry.sid for entry in entries])
         helps = {name: help_text for name, _k, help_text in self._SESSION_METRIC_FAMILIES}
         now = time.time()
-        for entry in self.session_stats.entries():
+        for entry in entries:
             labels = {"session": entry.sid}
             registry.counter(
                 "pythia_session_requests_total", labels,
@@ -1296,16 +1308,12 @@ class OracleServer:
                 "pythia_session_age_seconds", labels,
                 help=helps["pythia_session_age_seconds"],
             ).set(max(0.0, now - entry.last_seen))
-            owned = by_sid.get(entry.sid)
-            if owned:
-                reports = []
-                for session in owned:
-                    with session.lock:
-                        reports.append(session.tracker.stats())
+            got = joined.get(entry.sid)
+            if got is not None:
                 registry.gauge(
                     "pythia_session_hit_rate", labels,
                     help=helps["pythia_session_hit_rate"],
-                ).set(round(aggregate_stats(reports).get("hit_rate", 0.0), 6))
+                ).set(round(got[1].get("hit_rate", 0.0), 6))
 
     def _op_ping(self, request: dict, conn_id: int) -> dict:
         out: dict = {"pong": True}

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -230,6 +232,37 @@ class TestObservabilityFacade:
         report = oracle.drift_report()
         assert report["state"] == "diverged"
         assert list(tmp_path.glob("flight-*.jsonl"))  # auto-dumped
+
+    def test_finished_oracle_freed_by_reference_counting(self, tmp_trace_path):
+        """With the cyclic collector off, a finished two-thread oracle
+        with drift monitoring takes every tracker, flight recorder,
+        grammar, successor machine and the monitor with it."""
+        recorder = Pythia(tmp_trace_path, mode="record")
+        for name, payload in APP_EVENTS:
+            for thread in (0, 1):
+                recorder.event(name, payload, thread=thread)
+        recorder.finish()
+        gc.collect()
+        gc.disable()
+        try:
+            oracle = Pythia(tmp_trace_path, mode="predict")
+            monitor = oracle.enable_drift()
+            for name, payload in APP_EVENTS:
+                for thread in (0, 1):
+                    oracle.event_and_predict(name, payload, distance=2, thread=thread)
+            for i in range(64):  # a transition journaled by thread 1
+                oracle.event(f"hostile_{i}", thread=1)
+            assert monitor.state == "diverged"
+            oracle.finish()
+            watched = [monitor]
+            for thread in (0, 1):
+                tracker = oracle._predictor(thread)
+                watched += [tracker, tracker.flight, tracker.grammar, tracker.machine]
+            refs = [weakref.ref(obj) for obj in watched]
+            del oracle, monitor, watched, tracker
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
     def test_watchers_do_not_change_predictions(self, recorded):
         bare = Pythia(recorded)

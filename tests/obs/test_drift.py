@@ -6,12 +6,14 @@ import json
 
 import pytest
 
-from repro.core.predict import PythiaPredict
+from repro.core.oracle import Pythia
+from repro.core.predict import WATCH_EVERY, PythiaPredict
 from repro.obs import metrics as m
 from repro.obs.drift import (
     DIVERGED,
     DRIFTING,
     OK,
+    STATE_CODES,
     DriftBaseline,
     DriftMonitor,
     baseline_from_replay,
@@ -105,12 +107,12 @@ class TestDetection:
             tracker.observe_unknown()
         assert monitor.state == DIVERGED
         # one calm block is not enough to recover
-        for t in (stream * 2)[: monitor.stride]:
+        for t in (stream * 2)[:WATCH_EVERY]:
             tracker.observe(t)
             tracker.predict(1)
         assert monitor.state == DIVERGED
         # sustained calm eventually recovers to OK
-        for t in (stream * 4)[: 12 * monitor.stride]:
+        for t in (stream * 4)[: 12 * WATCH_EVERY]:
             tracker.observe(t)
             tracker.predict(1)
         assert monitor.state == OK
@@ -139,8 +141,6 @@ class TestDetection:
 class TestMonitorMechanics:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DriftMonitor(stride=0)
-        with pytest.raises(ValueError):
             DriftMonitor(alpha=0.0)
         with pytest.raises(ValueError):
             DriftMonitor(alpha=1.5)
@@ -149,28 +149,37 @@ class TestMonitorMechanics:
         stream = [A, B, C] * 8
         tracker, monitor = _monitored(stream)
         tracker.observe(A)
-        monitor.update(tracker)
+        tracker.feed_watchers()
         updates = monitor.updates
-        assert monitor.update(tracker) == monitor.state
+        assert monitor.events == 1
+        tracker.feed_watchers()
         assert monitor.updates == updates  # no delta, no update
+        assert monitor.events == 1
 
     def test_shared_monitor_keeps_per_tracker_deltas(self):
-        stream = [A, B, C] * 32
+        stream = [A, B, C] * (4 * WATCH_EVERY)
         fg = freeze(stream)
-        monitor = DriftMonitor(stride=8)
+        monitor = DriftMonitor()
         t1 = PythiaPredict(fg)
         t2 = PythiaPredict(fg)
         t1.attach_drift(monitor)
         t2.attach_drift(monitor)
-        for t in stream:
+        # interleaved streams of different lengths (t2 attaches mid-stream):
+        # each tracker feeds its own deltas
+        for i, t in enumerate(stream):
             t1.observe(t)
-            t2.observe(t)
+            if i >= 100:
+                t2.observe(t)
+        assert monitor.updates > 4
         # absorb the tail blocks (calm sessions feed on a stretched
         # cadence), then every event is accounted exactly once
-        monitor.update(t1)
-        monitor.update(t2)
+        t1.feed_watchers()
+        t2.feed_watchers()
         assert monitor.events == t1.observed + t2.observed
         assert monitor.state == OK
+        t1.feed_watchers()
+        t2.feed_watchers()
+        assert monitor.events == t1.observed + t2.observed
 
     def test_gauges_published(self):
         prev = m.get_registry()
@@ -201,6 +210,47 @@ class TestMonitorMechanics:
         assert report["transitions"]
         assert report["transitions"][-1]["to"] == DIVERGED
         json.dumps(report)  # JSON-safe end to end
+
+
+class TestSharedMonitor:
+    def test_every_thread_journals_the_shared_state(self, tmp_path):
+        """One monitor shared by two threads: while thread 1's unknown-event
+        storm holds it DIVERGED, every ``run`` entry thread 0 writes carries
+        ``drift_state`` 2 — each entry reads the monitor's state."""
+        path = str(tmp_path / "two.pythia")
+        recorder = Pythia(path, mode="record", record_timestamps=False)
+        for _ in range(40):
+            for name in ("a", "b", "c"):
+                for thread in (0, 1):
+                    recorder.event(name, thread=thread)
+        recorder.finish()
+        oracle = Pythia(path, mode="predict")
+        monitor = oracle.enable_drift()
+        for _ in range(40):
+            for name in ("a", "b", "c"):
+                for thread in (0, 1):
+                    oracle.event(name, thread=thread)
+        assert monitor.state == OK
+        for i in range(400):
+            oracle.event(f"hostile_{i}", thread=1)
+        assert monitor.state == DIVERGED
+        flight = oracle._predictor(0).flight
+        journaled = []  # (monitor state before the event, drift_state written)
+        for _ in range(80):
+            for name in ("a", "b", "c"):
+                state = monitor.state
+                seq = flight._seq
+                oracle.event(name, thread=0)
+                if flight._seq != seq:
+                    new = flight.entries()[seq - flight._seq :]
+                    journaled += [
+                        (state, e["drift_state"]) for e in new if e["kind"] == "run"
+                    ]
+        assert monitor.state == OK  # thread 0's calm feeds recovered it
+        diverged = [code for state, code in journaled if state == DIVERGED]
+        assert len(diverged) >= 3
+        assert diverged == [STATE_CODES[DIVERGED]] * len(diverged)
+        assert all(code == STATE_CODES[state] for state, code in journaled)
 
 
 class TestBaseline:

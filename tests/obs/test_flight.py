@@ -7,24 +7,24 @@ import os
 
 import pytest
 
-from repro.core.predict import PythiaPredict
+from repro.core.predict import WATCH_EVERY, PythiaPredict
 from repro.obs.flight import FLIGHT_DIR_ENV, FlightRecorder, dump_active
 from tests.conftest import A, B, C, freeze
 
 
-def _tracked(stream, *, capacity=64, stride=8, **kw):
+def _tracked(stream, *, capacity=64, **kw):
     tracker = PythiaPredict(freeze(stream))
-    flight = FlightRecorder(capacity, stride=stride, **kw)
+    flight = FlightRecorder(capacity, **kw)
     tracker.attach_flight(flight)
     return tracker, flight
 
 
 class TestJournal:
     def test_run_entries_compress_steady_state(self):
-        """An in-sync stream yields one ``run`` entry per stride block,
-        not one entry per event."""
-        stream = [A, B, C] * 32
-        tracker, flight = _tracked(stream, stride=8)
+        """An in-sync stream yields one ``run`` entry per block of the
+        tracker's cadence, not one entry per event."""
+        stream = [A, B, C] * (8 * WATCH_EVERY)
+        tracker, flight = _tracked(stream)
         for t in stream:
             tracker.observe(t)
         entries = flight.entries()
@@ -32,14 +32,30 @@ class TestJournal:
         # the only anomaly is the initial mid-stream attach (a restart)
         assert [e for e in entries if e["kind"] != "run"] == entries[:1]
         assert entries[0]["outcome"] == "restart"
-        assert len(runs) == len(stream) // 8
-        assert all(e["events"] == 8 for e in runs)
-        assert all(e["matched"] + e["unexpected"] + e["unknown"] <= 8 for e in runs)
+        assert len(runs) == len(stream) // WATCH_EVERY
+        assert all(e["events"] == WATCH_EVERY for e in runs)
+        assert all(
+            e["matched"] + e["unexpected"] + e["unknown"] <= WATCH_EVERY for e in runs
+        )
         assert all(e["drift_state"] == 0 for e in runs)
+
+    def test_feed_absorbs_the_partial_block(self):
+        """``feed_watchers`` journals the events since the last boundary
+        once; a second call without new events writes nothing."""
+        stream = [A, B, C] * WATCH_EVERY
+        tracker, flight = _tracked(stream)
+        tail = WATCH_EVERY // 2
+        for t in stream[: 2 * WATCH_EVERY + tail]:
+            tracker.observe(t)
+        tracker.feed_watchers()
+        tracker.feed_watchers()
+        runs = [e for e in flight.entries() if e["kind"] == "run"]
+        assert [e["events"] for e in runs] == [WATCH_EVERY, WATCH_EVERY, tail]
+        assert sum(e["events"] for e in runs) == tracker.observed
 
     def test_anomalies_journaled_eagerly_with_collapse(self):
         stream = [A, B, C] * 8
-        tracker, flight = _tracked(stream, stride=8)
+        tracker, flight = _tracked(stream)
         tracker.observe(A)
         for _ in range(5):
             tracker.observe_unknown()
@@ -52,7 +68,7 @@ class TestJournal:
 
     def test_distinct_anomalies_do_not_collapse(self):
         stream = [A, B, C] * 8
-        tracker, flight = _tracked(stream, stride=8)
+        tracker, flight = _tracked(stream)
         tracker.observe(A)
         tracker.observe(99)  # unknown terminal
         tracker.observe(A)  # resync = unexpected restart
@@ -72,8 +88,8 @@ class TestJournal:
         assert entries[0]["seq"] == 17  # sequence numbers keep counting
 
     def test_last_prediction_recorded_in_runs(self):
-        stream = [A, B, C] * 16
-        tracker, flight = _tracked(stream, stride=8)
+        stream = [A, B, C] * WATCH_EVERY
+        tracker, flight = _tracked(stream)
         for t in stream[:-1]:
             tracker.observe(t)
             tracker.predict(1)
@@ -87,8 +103,6 @@ class TestJournal:
     def test_validation(self):
         with pytest.raises(ValueError):
             FlightRecorder(0)
-        with pytest.raises(ValueError):
-            FlightRecorder(4, stride=0)
 
 
 class TestExport:
@@ -103,8 +117,8 @@ class TestExport:
         assert obj["run"] == 3
 
     def test_chrome_trace_shape(self):
-        stream = [A, B, C] * 8
-        tracker, flight = _tracked(stream, stride=8)
+        stream = [A, B, C] * WATCH_EVERY
+        tracker, flight = _tracked(stream)
         for t in stream:
             tracker.observe(t)
         trace = flight.to_chrome_trace()

@@ -57,8 +57,15 @@ class _Tracker:
     """The tracker attributes a flight recorder reads."""
 
     def __init__(self) -> None:
-        self.observed = self.matched = self.unexpected = self.unknown = 0
         self.candidates: dict = {}
+        self.drift = None
+
+
+class _Monitor:
+    """The drift-monitor attribute a flight recorder reads."""
+
+    def __init__(self, state: str) -> None:
+        self.state = state
 
 
 class _Pred:
@@ -82,21 +89,18 @@ def _flight(tmp_path) -> FlightRecorder:
     tracker = _Tracker()
     rec.note("session_open", trace="bt.pythia", thread=0)
     for block in range(1, 6):
-        tracker.observed = 32 * block
-        tracker.matched = 30 * block
-        tracker.unexpected = block
-        tracker.unknown = block // 2
         tracker.candidates = dict.fromkeys(range(block))
         rec.last_pred = _Pred(block + 4, 1.0 / (block + 1))
         rec.last_distance = block % 3 + 1
-        rec.tick(tracker)
+        # observed, matched, unexpected, unknown, hits, misses, resyncs
+        rec.tick(tracker, (32, 30, 1, block // 2 - (block - 1) // 2, 0, 0, 0))
         if block == 2:
             rec.anomaly("restart", 4, tracker)
             rec.anomaly("restart", 4, tracker)  # collapses into a count
             rec.anomaly("unknown", None, tracker)
         if block == 3:
             rec.mark_transition("ok", "drifting", {"hit_rate": 0.5, "window": 64})
-            rec.state, rec.state_code = "drifting", 1
+            tracker.drift = _Monitor("drifting")
     rec.note("session_close", reason="done")
     return rec
 

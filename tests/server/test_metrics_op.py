@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.predict import METRIC_FAMILIES as PREDICT_FAMILIES
+from repro.core.record import METRIC_FAMILIES as RECORD_FAMILIES
+from repro.core.successor import METRIC_FAMILIES as SUCCESSOR_FAMILIES
 from repro.experiments.harness import mpi_record_run
 from repro.obs import metrics as obs_metrics
 from repro.server import OracleServer, PythiaClient, TraceStore, admin_request
@@ -61,6 +64,16 @@ class TestMetricsOp:
             "pythia_server_sessions_active",
         ):
             assert family in parsed, family
+
+    def test_every_declared_family_preregistered(self, server):
+        """Each counter family the recorder, tracker and successor machine
+        declare is exposed at zero, with its declared help, before any
+        traffic."""
+        text = scrape(server)
+        parsed = parse_exposition(text)
+        for name, help_text in (*RECORD_FAMILIES, *PREDICT_FAMILIES, *SUCCESSOR_FAMILIES):
+            assert parsed[name] == 0, name
+            assert f"# HELP {name} {help_text}" in text, name
 
     def test_counters_track_traffic(self, npb_trace, server):
         with PythiaClient(npb_trace, socket=server.socket_path) as client:

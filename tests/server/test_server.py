@@ -3,11 +3,13 @@ concurrent sessions, and hostility to malformed clients."""
 
 from __future__ import annotations
 
+import gc
 import os
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -425,6 +427,30 @@ class TestSlowOps:
         assert read_frame(profile)["ok"]
         conn.close()
         profile.close()
+
+
+class TestSessionLifetime:
+    def test_closed_session_freed_by_reference_counting(self, npb_trace, server):
+        """With the cyclic collector off, close_session frees the
+        session's tracker and its flight recorder."""
+        events = npb_event_stream(npb_trace)[:200]
+        gc.collect()
+        gc.disable()
+        try:
+            with PythiaClient(npb_trace, socket=server.socket_path) as client:
+                for name, payload in events:
+                    client.event_and_predict(name, payload)
+                for i in range(64):  # a drift transition on the session
+                    client.event(f"hostile_{i}")
+                (session,) = server._sessions.values()
+                tracker = session.tracker
+                assert tracker.drift.state == "diverged"
+                refs = [weakref.ref(tracker), weakref.ref(tracker.flight)]
+                del session, tracker
+            assert server._sessions == {}
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestServerLifecycle:
