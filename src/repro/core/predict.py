@@ -785,9 +785,10 @@ class PythiaPredict:
 
         Called automatically every :data:`METRICS_FLUSH_EVERY`
         observations and from :meth:`stats`; the daemon also calls it at
-        scrape time so `pythia-trace metrics` sees live values.
+        scrape time so `pythia-trace metrics` sees live values.  It
+        leaves the watcher cadence alone: only :meth:`_tick` restarts
+        the count, so however often a tracker is read, it is still fed.
         """
-        self._since_flush = 0
         reg = obs_metrics.get_registry()
         if not reg.enabled:
             return

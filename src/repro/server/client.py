@@ -87,6 +87,20 @@ session, with no extra round trip.  Admin requests (``server_stats``,
 goes through :func:`admin_request` on a fresh connection without
 session context, so a session connection always starts with a session
 op, and behind a supervisor the answer is the whole tier's merged view.
+
+Request queue
+-------------
+Every frame on the session connection goes through one ordered queue
+of outstanding requests.  An entry records its op, rid and send time,
+where its reply goes (the waiting caller, or a pipeline's result slot)
+and the ring events an ok reply confirms.  A *write* buffers a frame
+and its entry, a flush hands the buffer to one ``sendall``, and a
+*settle* reads the next reply and retires the head entry — timing,
+``srv`` binding and ring confirmation happen there only.  A
+synchronous call writes one frame, flushes and settles; a pipeline
+window writes N, flushes once and settles N.  A transport error drops
+every unsettled entry with the connection: no unconfirmed event ever
+enters the ring.
 """
 
 from __future__ import annotations
@@ -97,8 +111,9 @@ import random
 import socket
 import threading
 import uuid
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from time import monotonic, perf_counter, sleep
 from typing import Hashable
 
@@ -200,6 +215,25 @@ class _RetryableFailure(Exception):
     def __init__(self, cause: BaseException | str) -> None:
         super().__init__(str(cause))
         self.cause = cause if isinstance(cause, BaseException) else None
+
+
+@dataclass(slots=True)
+class _Entry:
+    """One outstanding request: ``op`` and ``rid`` name it in the timing
+    and its span, ``sent`` is when its flush began, ``slot`` is the
+    pipeline results list its reply goes to (None: the waiting caller),
+    and an ok reply confirms ``confirms`` into ``thread``'s ring.  A
+    traced reply's timing (seconds) is kept on the entry it settles."""
+
+    op: str
+    rid: int
+    slot: list | None
+    thread: int | None
+    confirms: tuple | list
+    sent: float = 0.0
+    total: float = 0.0
+    queue: float | None = None
+    handler: float | None = None
 
 
 class _LostOracle:
@@ -327,7 +361,8 @@ class PythiaClient:
         self.fallback = fallback
         self._max_candidates = max_candidates
         self._timeout = timeout
-        self._lock = threading.Lock()
+        # reentrant: a pipeline holds it while it ensures its session
+        self._lock = threading.RLock()
         self._sessions: dict[int, str] = {}
         #: daemon session id -> its numeric spelling (the ``snum`` the
         #: open_session reply advertised; what binary frames carry)
@@ -337,7 +372,10 @@ class PythiaClient:
         #: "json" as each open_session reply says (snum or not)
         self._protocol = protocol
         self._proto_state: str | None = "json" if protocol == "json" else None
-        self._rings: dict[int, deque] = {}
+        #: per thread, the most recent confirmed events (resync replay)
+        self._rings: dict[int, deque] = defaultdict(
+            partial(deque, maxlen=resync_window)
+        )
         self._registry: EventRegistry | None = None
         self._finished = False
         self._degraded = False
@@ -356,25 +394,20 @@ class PythiaClient:
         # once a reply carries srv the daemon has bound our identity to
         # this connection and no stamp is needed; reset on reconnect
         self._sid_bound = False
-        #: wire/queue/handler/total digests keyed (op, component); the
-        #: instruments live in the metrics registry as
-        #: pythia_client_request_seconds{op=...,component=...}.  The
-        #: hot path appends raw samples to _timing_pending and folds
-        #: them into the histograms in batches (same idiom as the
-        #: facade's counter bumps) — readers flush first.
+        #: outstanding requests on the connection, oldest first; the
+        #: last ``_unsent`` of them are written to ``_wbuf``, not flushed
+        self._queue: deque[_Entry] = deque()
+        self._wbuf = bytearray()
+        self._unsent = 0
+        #: wire/queue/handler/total digests keyed (op, component), as
+        #: pythia_client_request_seconds{op=...,component=...} in the
+        #: metrics registry; fed in batches from _timing_pending, per
+        #: op parallel float lists (totals, srv_totals, queues,
+        #: handlers) — no tuple per reply, which measurably taxes the
+        #: round trip.  Readers flush first.
         self._timing: dict[tuple[str, str], object] = {}
-        #: per-op pending samples as parallel float lists
-        #: (totals, srv_totals, queues, handlers): container-free on
-        #: the per-request path — building a tuple per reply measurably
-        #: taxes the round trip, plain float appends do not
         self._timing_pending: dict[str, tuple] = {}
-        # most recent traced reply, as scalars (same rationale;
-        # last_timing assembles its dict lazily from these)
-        self._lr_op: str | None = None
-        self._lr_rid = 0
-        self._lr_total = 0.0
-        self._lr_q: float | None = None
-        self._lr_h: float | None = None
+        self._last: _Entry | None = None  # the last traced reply's entry
         #: fault-layer counters, mirrored into the metrics registry
         self.counters = {"reconnects": 0, "retries": 0, "fallbacks": 0}
         reg = obs_metrics.get_registry()
@@ -431,14 +464,9 @@ class PythiaClient:
         """True once the client has given up on the daemon."""
         return self._degraded
 
-    def _ring(self, thread: int) -> deque:
-        ring = self._rings.get(thread)
-        if ring is None:
-            ring = self._rings[thread] = deque(maxlen=self.resync_window)
-        return ring
-
     def _invalidate_connection(self) -> None:
-        """Drop the socket and every session living on it.
+        """Drop the socket, every session living on it and every
+        unsettled request (whose events thus never reach the ring).
 
         Called on any transport error: after a timeout or protocol
         violation the byte stream position is unknown, so the socket
@@ -454,6 +482,8 @@ class PythiaClient:
         self._sessions.clear()
         self._snums.clear()
         self._sid_bound = False  # a fresh connection starts unbound
+        self._discard_unsent()
+        self._queue.clear()
 
     def _timing_hist(self, op: str, component: str):
         """The (op, component) latency digest, created on first use."""
@@ -468,23 +498,6 @@ class PythiaClient:
             )
             self._timing[(op, component)] = hist
         return hist
-
-    def _emit_span(
-        self, rec, op: str, t0: float, total_s: float, queue_s, handler_s
-    ) -> None:
-        """Emit one ``client.<op>`` span (only with a recorder active)."""
-        attrs = {
-            "op": op, "sid": self.session_id, "rid": self._rid,
-            "total_us": round(total_s * 1e6, 1),
-        }
-        if queue_s is not None:
-            wire_s = total_s - queue_s - handler_s
-            attrs.update(
-                wire_us=round(wire_s * 1e6, 1) if wire_s > 0.0 else 0.0,
-                queue_us=round(queue_s * 1e6, 1),
-                handler_us=round(handler_s * 1e6, 1),
-            )
-        rec.emit(f"client.{op}", t0, total_s, **attrs)
 
     def _flush_timing(self) -> None:
         """Fold pending raw samples into the (op, component) digests.
@@ -516,15 +529,15 @@ class PythiaClient:
         """Decomposition of the most recent traced reply, in µs.
 
         ``None`` before any traced request (or with ``context=False``).
-        Built lazily from the raw scalars so the per-request cost stays
-        off the hot path.
+        Built lazily from the settled entry so the per-request cost
+        stays off the hot path.
         """
-        op = self._lr_op
-        if op is None:
+        entry = self._last
+        if entry is None:
             return None
-        total_s = self._lr_total
-        queue_s = self._lr_q
-        handler_s = self._lr_h
+        total_s = entry.total
+        queue_s = entry.queue
+        handler_s = entry.handler
         if queue_s is None:
             wire_us = queue_us = handler_us = None
         else:
@@ -533,26 +546,28 @@ class PythiaClient:
             queue_us = round(queue_s * 1e6, 1)
             handler_us = round(handler_s * 1e6, 1)
         return {
-            "op": op,
+            "op": entry.op,
             "sid": self.session_id,
-            "rid": self._lr_rid,
+            "rid": entry.rid,
             "total_us": round(total_s * 1e6, 1),
             "wire_us": wire_us,
             "queue_us": queue_us,
             "handler_us": handler_us,
         }
 
-    def _encode(self, request: dict) -> bytes:
-        """The wire frame for ``request``, stamped for tracing.
+    # -- the request queue: write, flush, settle ---------------------------
+
+    def _write(
+        self, request: dict, thread: int | None = None, confirms=(), slot=None
+    ) -> None:
+        """Buffer ``request``'s frame and queue its :class:`_Entry`.
 
         Binary when negotiated and the request has a binary spelling,
-        else JSON.  A binary frame carries no ctx, so while unbound a
-        traced client keeps sending JSON with the full stamp until the
-        daemon binds its identity (and the supervisor routes by it).
-        Every encoded frame is one transmitted attempt and takes a
-        fresh rid — a retry must never reuse one; once bound the rid
-        travels implicitly (the daemon counts frames on the connection,
-        in lockstep with this counter).
+        else JSON; a binary frame carries no ctx, so an unbound traced
+        client sends JSON with the full stamp until the daemon binds its
+        identity (the supervisor routes by it).  Every frame takes a
+        fresh rid — a retry never reuses one; once bound the rid travels
+        implicitly (the daemon counts frames on the connection).
         """
         traced = self._ctx
         frame = None
@@ -565,78 +580,114 @@ class PythiaClient:
                 extra = self._ctx_prefix + str(self._rid) + "}"
         if frame is None:
             frame = encode_json_frame(request, extra=extra)
-        return frame
+        self._wbuf += frame
+        self._unsent += 1
+        self._queue.append(_Entry(request["op"], self._rid, slot, thread, confirms))
 
-    def _read_reply(self, sock: socket.socket) -> dict:
-        """The next reply on ``sock`` as a response dict, either framing.
-
-        A reply carrying ``srv`` proves the daemon bound this client's
-        identity to the connection: requests need no stamp from then on.
-        """
-        reply = read_frame_any(sock)
-        if reply is None:
-            raise ProtocolError("daemon closed the connection")
-        response = reply[1] if reply[0] == "json" else self._bin_decode_reply(reply)
-        if "srv" in response:
-            self._sid_bound = True
-        return response
-
-    def _roundtrip(self, request: dict) -> dict:
-        """One framed exchange on the live socket.
-
-        Encodes the request (:meth:`_encode`) and records the reply's
-        latency decomposition.  Raises :class:`_RetryableFailure` (after
-        invalidating the connection) for transport errors and for the
-        daemon's retryable ``shutting_down`` answer; raises the mapped
-        facade exception for every other error response.
-        """
-        assert self._sock is not None
-        traced = self._ctx
-        frame = self._encode(request)
-        t0 = perf_counter()
+    def _flush(self) -> None:
+        """Hand every written frame to one ``sendall``; stamp send times."""
+        sent = perf_counter()
         try:
-            self._sock.sendall(frame)
-            response = self._read_reply(self._sock)
+            if self._sock is None:  # a pipeline writing after a transport error
+                raise ConnectionError("connection lost")
+            self._sock.sendall(self._wbuf)
+        except OSError as exc:
+            self._invalidate_connection()
+            raise _RetryableFailure(exc) from exc
+        queue = self._queue
+        for i in range(-self._unsent, 0):
+            queue[i].sent = sent
+        del self._wbuf[:]
+        self._unsent = 0
+
+    def _discard_unsent(self) -> None:
+        """Forget the requests written since the last flush."""
+        for _ in range(self._unsent):
+            self._queue.pop()
+        del self._wbuf[:]
+        self._unsent = 0
+
+    def _settle(self) -> dict:
+        """Read the next reply, either framing, and retire the head entry.
+
+        Times the reply against the entry's send time, marks the
+        connection bound when it carries ``srv`` (no stamp from then
+        on), confirms the entry's ring events when it is ok and fills
+        the entry's pipeline slot.  A transport error invalidates the
+        connection and raises :class:`_RetryableFailure`.
+        """
+        try:
+            reply = read_frame_any(self._sock)
+            if reply is None:
+                raise ProtocolError("daemon closed the connection")
+            response = reply[1] if reply[0] == "json" else self._bin_decode_reply(reply)
         except (OSError, ProtocolError) as exc:
             self._invalidate_connection()
             raise _RetryableFailure(exc) from exc
-        if traced:
-            # per-request accounting, inlined and container-free: parse
-            # srv into two floats, append to parallel per-op lists, and
-            # remember the last reply as scalar attributes.  Wire
-            # residuals, histogram folds and the last_timing dict are
-            # all deferred to the readers (via _flush_timing) — and no
-            # tuple or dict is allocated per reply, which is measurably
-            # cheaper across a ~50µs round trip.
-            total_s = perf_counter() - t0
+        entry = self._queue.popleft()
+        if "srv" in response:
+            self._sid_bound = True
+        if self._ctx:
+            # container-free: float appends only; wire residuals, folds
+            # and the last_timing dict are left to the readers
+            entry.total = total_s = perf_counter() - entry.sent
             srv = response.get("srv")
-            op = request["op"]
+            op = entry.op
             pend = self._timing_pending.get(op)
             if pend is None:
                 pend = self._timing_pending[op] = ([], [], [], [])
             pend[0].append(total_s)
-            queue_s = handler_s = None
-            if srv is not None:
-                if type(srv) is list and len(srv) == 2:
-                    try:
-                        queue_s = srv[0] / 1e6
-                        handler_s = srv[1] / 1e6
-                    except TypeError:  # malformed pair: total-only
-                        queue_s = handler_s = None
-                    else:
-                        pend[1].append(total_s)
-                        pend[2].append(queue_s)
-                        pend[3].append(handler_s)
-            self._lr_op = op
-            self._lr_rid = self._rid
-            self._lr_total = total_s
-            self._lr_q = queue_s
-            self._lr_h = handler_s
+            if type(srv) is list and len(srv) == 2:
+                try:
+                    queue_s = srv[0] / 1e6
+                    handler_s = srv[1] / 1e6
+                except TypeError:  # malformed pair: total-only
+                    pass
+                else:
+                    entry.queue = queue_s
+                    entry.handler = handler_s
+                    pend[1].append(total_s)
+                    pend[2].append(queue_s)
+                    pend[3].append(handler_s)
+            self._last = entry
             if len(pend[0]) >= 512:
                 self._flush_timing()
             rec = obs_spans._recorder  # inlined get_recorder(): hot path
-            if rec is not None:
-                self._emit_span(rec, op, t0, total_s, queue_s, handler_s)
+            if rec is not None:  # a client.<op> span with the same fields
+                attrs = {k: v for k, v in self.last_timing.items() if v is not None}
+                rec.emit(f"client.{op}", entry.sent, total_s, **attrs)
+        ok = response.get("ok")
+        if ok and entry.confirms:
+            self._rings[entry.thread].extend(entry.confirms)
+        slot = entry.slot
+        if slot is not None:
+            slot.append(
+                (response["matched"], self._pred(response)) if ok
+                else OracleServiceError(
+                    response.get("code", "error"),
+                    response.get("error", "unknown error"),
+                )
+            )
+        return response
+
+    def _drain(self) -> dict | None:
+        """Flush, then settle every outstanding entry; the last reply."""
+        if self._unsent:
+            self._flush()
+        response = None
+        while self._queue:
+            response = self._settle()
+        return response
+
+    def _call(self, request: dict, thread: int | None = None, confirms=()) -> dict:
+        """One synchronous request: write its frame, flush, settle.
+
+        Returns the ok reply; raises :class:`_RetryableFailure` for
+        transport errors and the daemon's retryable answers, and the
+        mapped facade exception for every other error reply.
+        """
+        self._write(request, thread, confirms)
+        response = self._drain()
         if response.get("ok"):
             return response
         code = response.get("code", "error")
@@ -649,11 +700,9 @@ class PythiaClient:
             # our session evaporated while the connection survived
             # (shouldn't happen, but a restarted daemon behind a proxy
             # looks exactly like this): reopen and resync, then retry
-            self._snums.pop(request.get("session"), None)
-            self._sessions = {
-                t: s for t, s in self._sessions.items()
-                if s != request.get("session")
-            }
+            dead = request.get("session")
+            self._snums.pop(dead, None)
+            self._sessions = {t: s for t, s in self._sessions.items() if s != dead}
             raise _RetryableFailure(f"[{code}] {message}")
         # map daemon error codes back onto the facade's exceptions
         if code == "no_such_thread":
@@ -758,7 +807,7 @@ class PythiaClient:
         The reply also sets the connection's framing: a daemon that
         speaks binary advertises the session's ``snum``.
         """
-        response = self._roundtrip({
+        response = self._call({
             "op": "open_session",
             "trace": self.trace_path,
             "thread": thread,
@@ -784,7 +833,7 @@ class PythiaClient:
             self._registry = EventRegistry.from_obj(response["registry"])
         ring = self._rings.get(thread)
         if ring:
-            self._roundtrip({
+            self._call({
                 "op": "observe_batch",
                 "session": sid,
                 "events": [[n, encode_payload(p)] for n, p in ring],
@@ -793,15 +842,20 @@ class PythiaClient:
         self._sessions[thread] = sid
         return sid
 
-    def _request(self, op: str, *, thread: int | None = None, **fields) -> dict:
-        """Send one request, retrying through reconnects.
+    def _request(
+        self, op: str | None, *, thread: int | None = None, confirms=(), **fields
+    ):
+        """Send one request and return its ok reply, retrying through
+        reconnects.
 
         ``thread`` selects (and lazily opens, ring-replaying) a daemon
-        session whose id is attached as the ``session`` field.  Raises
-        :class:`_UseFallback` once the retry budget is exhausted (or
-        the last error, with ``fallback="raise"``).
+        session whose id is attached as the ``session`` field; an ok
+        reply confirms ``confirms`` into its ring.  With ``op=None``
+        nothing is sent: the session is ensured and its id returned.
+        Raises :class:`_UseFallback` once the retry budget is exhausted
+        (or the last error, with ``fallback="raise"``).
         """
-        request = {"op": op, **fields}
+        request = None if op is None else {"op": op, **fields}
         with self._lock:
             if self._degraded:
                 raise _UseFallback()
@@ -816,8 +870,10 @@ class PythiaClient:
                         sid = self._sessions.get(thread)
                         if sid is None:
                             sid = self._open_session(thread)
+                        if request is None:
+                            return sid
                         request["session"] = sid
-                    return self._roundtrip(request)
+                    return self._call(request, thread, confirms)
                 except _RetryableFailure as exc:
                     attempts += 1
                     self.counters["retries"] += 1
@@ -887,16 +943,10 @@ class PythiaClient:
     def _session(self, thread: int) -> str:
         """Ensure a live daemon session for ``thread``; returns its id.
 
-        Test/diagnostic helper: runs the same reconnect-and-resync
-        machinery as any request, then reports the resulting id.
+        The retry loop of any request, sending nothing but what opening
+        a missing session takes (``open_session`` and the ring replay).
         """
-        self._request("stats", thread=thread)
-        return self._sessions[thread]
-
-    def _observed(self, thread: int, events: list[tuple[str, Hashable]]) -> None:
-        """Remember successfully observed events for post-reconnect resync."""
-        ring = self._ring(thread)
-        ring.extend(events)
+        return self._request(None, thread=thread)
 
     # ------------------------------------------------------------------
     # the Pythia facade surface
@@ -944,13 +994,12 @@ class PythiaClient:
             raise RuntimeError("oracle already finished")
         del timestamp  # predict mode never records timestamps
         try:
-            matched = self._request(
-                "observe", thread=thread, name=name, payload=encode_payload(payload)
+            return self._request(
+                "observe", thread=thread, confirms=((name, payload),),
+                name=name, payload=encode_payload(payload),
             )["matched"]
         except _UseFallback:
-            matched = self._fallback_oracle.event(name, payload, thread=thread)
-        self._observed(thread, [(name, payload)])
-        return matched
+            return self._fallback_oracle.event(name, payload, thread=thread)
 
     def event_batch(
         self, events: list[tuple[str, Hashable]], *, thread: int = 0
@@ -959,16 +1008,15 @@ class PythiaClient:
         if self._finished:
             raise RuntimeError("oracle already finished")
         try:
-            matched = self._request(
+            return self._request(
                 "observe_batch",
                 thread=thread,
+                confirms=events,
                 events=[[name, encode_payload(payload)] for name, payload in events],
             )["matched"]
         except _UseFallback:
             oracle = self._fallback_oracle
-            matched = [oracle.event(n, p, thread=thread) for n, p in events]
-        self._observed(thread, list(events))
-        return matched
+            return [oracle.event(n, p, thread=thread) for n, p in events]
 
     def event_and_predict(
         self,
@@ -995,20 +1043,19 @@ class PythiaClient:
             response = self._request(
                 "observe_predict",
                 thread=thread,
+                confirms=((name, payload),),
                 name=name,
                 payload=encode_payload(payload),
                 distance=distance,
                 with_time=with_time,
                 require_match=require_match,
             )
-            result = response["matched"], self._pred(response)
         except _UseFallback:
-            result = self._fallback_oracle.event_and_predict(
+            return self._fallback_oracle.event_and_predict(
                 name, payload, distance=distance, thread=thread,
                 with_time=with_time, require_match=require_match,
             )
-        self._observed(thread, [(name, payload)])
-        return result
+        return response["matched"], self._pred(response)
 
     def event_batch_and_predict(
         self,
@@ -1028,12 +1075,12 @@ class PythiaClient:
             response = self._request(
                 "observe_predict",
                 thread=thread,
+                confirms=events,
                 events=[[name, encode_payload(payload)] for name, payload in events],
                 distance=distance,
                 with_time=with_time,
                 require_match=require_match,
             )
-            result = response["matched"], self._pred(response)
         except _UseFallback:
             oracle = self._fallback_oracle
             matched = [oracle.event(n, p, thread=thread) for n, p in events[:-1]]
@@ -1041,9 +1088,8 @@ class PythiaClient:
                 events[-1][0], events[-1][1], distance=distance, thread=thread,
                 with_time=with_time, require_match=require_match,
             )
-            result = matched + [last], pred
-        self._observed(thread, list(events))
-        return result
+            return matched + [last], pred
+        return response["matched"], self._pred(response)
 
     def pipeline(self, *, thread: int = 0, window: int = 64) -> "OraclePipeline":
         """Pipelined fused observe+predict over ``thread``'s session.
@@ -1055,21 +1101,22 @@ class PythiaClient:
                     pipe.submit(name, payload)
             results = pipe.results   # [(matched, prediction) | error, ...]
 
-        ``submit`` buffers requests and ships them in windows of
-        ``window`` frames — one ``sendall`` instead of one round trip
-        each — then reads the replies back in stream order (the same
-        ordering guarantee the implicit-rid ctx scheme already relies
-        on).  Replies correlate by position; a daemon-side error (e.g.
-        the retryable ``shutting_down`` during a drain) becomes an
-        :class:`OracleServiceError` entry at its position instead of a
-        tuple.  The resync ring advances only on confirmed replies, so
-        a reconnect after a mid-pipeline failure resynchronises to
-        exactly the daemon's tracker state.
+        A thin API over the client's request queue: each ``submit``
+        writes one frame whose queue entry holds a result slot; once
+        ``window`` frames (or ``FLUSH_BYTES``) are buffered they go out
+        in one ``sendall`` and their replies are settled in stream order
+        (the order the implicit-rid ctx scheme relies on), as ``drain``
+        does for a partial window.  A daemon-side error (e.g. the
+        retryable ``shutting_down`` during a drain) fills its slot with
+        an :class:`OracleServiceError`.  Each ok reply confirms its event
+        into the resync ring as it settles, so a reconnect after a
+        mid-pipeline failure replays exactly the confirmed events.
+        Replies are timed like any other, from the flush to the read.
 
-        The client's lock is held for the duration of the ``with``
-        block: do not call other methods of this client from inside it
-        (other threads simply wait).  In degraded mode submissions are
-        served inline from the fallback oracle.
+        Entering opens ``thread``'s session if it has none (one
+        ``open_session``, nothing else) and holds the client's lock for
+        the whole block, so other threads wait.  In degraded mode
+        submissions are served inline from the fallback oracle.
         """
         if self._finished:
             raise RuntimeError("oracle already finished")
@@ -1283,14 +1330,15 @@ class PythiaClient:
             raise RuntimeError("oracle already finished")
         self._finished = True
         with self._lock:
-            self._flush_timing()  # registry digests catch up before exit
             if self._sock is not None:
+                # every close in one flush; error replies are ignored
+                for sid in self._sessions.values():
+                    self._write({"op": "close_session", "session": sid})
                 try:
-                    for sid in self._sessions.values():
-                        self._roundtrip({"op": "close_session", "session": sid})
-                except (_RetryableFailure, OracleServiceError, KeyError):
+                    self._drain()
+                except _RetryableFailure:
                     pass  # daemon gone: sessions die with the connection anyway
-            self._sessions.clear()
+            self._flush_timing()  # registry digests catch up before exit
             self._invalidate_connection()
             if self._fallback_oracle is not None:
                 self._fallback_oracle.finish()
@@ -1333,12 +1381,12 @@ class OraclePipeline:
     :meth:`PythiaClient.pipeline`).
 
     ``submit`` order is result order.  :attr:`results` holds, per
-    submission, either ``(matched, prediction)`` or an
-    :class:`OracleServiceError` (daemon-side refusal — the request was
-    delivered and answered, the connection stays usable).  A transport
-    failure mid-window raises instead: the replies already read stay in
-    :attr:`results`, unanswered submissions are gone, and the client's
-    resync ring holds exactly the confirmed prefix.
+    submission, ``(matched, prediction)`` or an
+    :class:`OracleServiceError` (a daemon-side refusal: the connection
+    stays usable).  A transport failure mid-window raises
+    ``unavailable``: the replies already read stay in :attr:`results`,
+    unanswered submissions are gone, and the resync ring holds exactly
+    the confirmed prefix.
     """
 
     #: flush the send buffer early once it holds this many bytes, even
@@ -1351,8 +1399,6 @@ class OraclePipeline:
         self._client = client
         self._thread = thread
         self.window = int(window)
-        self._buf = bytearray()
-        self._inflight: list[tuple[str, Hashable]] = []
         self._submitted = 0
         #: per-submission outcomes, in submit order
         self.results: list = []
@@ -1360,31 +1406,25 @@ class OraclePipeline:
 
     def __enter__(self) -> "OraclePipeline":
         client = self._client
-        for _ in range(3):
-            if not client._degraded:
-                try:
-                    # runs open_session/ring-replay through the
-                    # normal retry machinery, before we take the lock
-                    client._session(self._thread)
-                except _UseFallback:
-                    pass
-            client._lock.acquire()
-            if client._degraded or client._sessions.get(self._thread) is not None:
-                self._entered = True
-                return self
-            client._lock.release()  # session died in the gap; reopen
-        raise OracleServiceError(
-            "unavailable", "could not establish a session to pipeline on"
-        )
+        client._lock.acquire()
+        try:
+            client._session(self._thread)  # the session to pipeline on
+        except _UseFallback:
+            pass  # degraded: submissions are served inline
+        except BaseException:
+            client._lock.release()
+            raise
+        self._entered = True
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
             if exc_type is None:
-                self._cycle()
+                self.drain()
         finally:
-            if self._entered:
-                self._entered = False
-                self._client._lock.release()
+            self._client._discard_unsent()  # a block that raised sends no more
+            self._entered = False
+            self._client._lock.release()
 
     def submit(
         self,
@@ -1405,9 +1445,8 @@ class OraclePipeline:
                 name, payload, distance=distance, thread=self._thread,
                 with_time=with_time, require_match=require_match,
             ))
-            client._ring(self._thread).append((name, payload))
             return index
-        self._buf += client._encode({
+        client._write({
             "op": "observe_predict",
             "session": client._sessions.get(self._thread),
             "name": name,
@@ -1415,58 +1454,18 @@ class OraclePipeline:
             "distance": distance,
             "with_time": with_time,
             "require_match": require_match,
-        })
-        self._inflight.append((name, payload))
-        if len(self._inflight) >= self.window or len(self._buf) >= self.FLUSH_BYTES:
-            self._cycle()
+        }, self._thread, ((name, payload),), self.results)
+        if client._unsent >= self.window or len(client._wbuf) >= self.FLUSH_BYTES:
+            self.drain()
         return index
 
     def drain(self) -> list:
-        """Flush and read every outstanding reply; returns the results."""
+        """Flush and settle every outstanding submission; the results."""
         assert self._entered, "drain() outside the pipeline's with-block"
-        self._cycle()
-        return list(self.results)
-
-    def _cycle(self) -> None:
-        """Ship the buffered window, then read its replies in order."""
-        client = self._client
-        if not self._inflight:
-            return
-        sock = client._sock
-        if sock is None:
-            self._inflight.clear()
-            self._buf.clear()
-            raise OracleServiceError(
-                "unavailable", "connection lost mid-pipeline"
-            )
-        confirmed: list[tuple[str, Hashable]] = []
         try:
-            sock.sendall(self._buf)
-            self._buf.clear()
-            for item in self._inflight:
-                response = client._read_reply(sock)
-                if response.get("ok"):
-                    self.results.append(
-                        (response["matched"], client._pred(response))
-                    )
-                    # the reply confirms the daemon observed this event
-                    confirmed.append(item)
-                else:
-                    # a refused op (bad_request, shutting_down) was NOT
-                    # observed — it must not enter the resync ring
-                    self.results.append(OracleServiceError(
-                        response.get("code", "error"),
-                        response.get("error", "unknown error"),
-                    ))
-        except (OSError, ProtocolError) as exc:
-            client._invalidate_connection()
-            # the ring advances by the confirmed prefix only, so a
-            # reconnect replays exactly what the daemon observed
-            client._ring(self._thread).extend(confirmed)
-            self._inflight.clear()
-            self._buf.clear()
+            self._client._drain()
+        except _RetryableFailure as exc:
             raise OracleServiceError(
                 "unavailable", f"pipeline transport error: {exc}"
             ) from exc
-        client._ring(self._thread).extend(confirmed)
-        self._inflight.clear()
+        return list(self.results)

@@ -31,6 +31,23 @@ def _monitored(stream, *, flight=None, **monitor_kwargs):
     return tracker, monitor
 
 
+class TestReadsDoNotStarveTheWatchers:
+    def test_stats_every_16_events_still_feeds_flight_and_drift(self):
+        """``stats()`` flushes metrics; it must not restart the count the
+        watcher cadence waits on, or a tracker read often is never fed."""
+        stream = [A, B, C] * 400
+        flight = FlightRecorder(128)
+        tracker, monitor = _monitored(stream, flight=flight)
+        steps = [lambda t=t: tracker.observe(t) for t in stream]
+        steps += [tracker.observe_unknown] * 200
+        for i, step in enumerate(steps, 1):
+            step()
+            if i % 16 == 0:
+                tracker.stats()
+        assert monitor.state == DIVERGED
+        assert any(e["kind"] == "run" for e in flight.entries())
+
+
 class TestDetection:
     def test_in_sync_stream_stays_ok(self):
         stream = [A, B, C] * 64

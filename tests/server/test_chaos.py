@@ -900,3 +900,51 @@ class TestPipelinedDrain:
         finally:
             client.close()
             srv.stop()
+
+
+class TestPipelineTransportFailure:
+    """A transport failure mid-window keeps the confirmed prefix.
+
+    The replies read before the cut stay in ``results``, the unanswered
+    submissions are gone, and the ring holds exactly the confirmed
+    events — so the reconnect that follows replays what the client saw
+    confirmed and the stream stays byte-identical with in-process.
+    """
+
+    def test_cut_mid_window_keeps_confirmed_prefix(self, tmp_path, trace_path):
+        from repro.server.client import OracleServiceError
+
+        sock_path = str(tmp_path / "oracle.sock")
+        proxy_path = str(tmp_path / "proxy.sock")
+        events = record_loop_trace(str(tmp_path / "again.pythia"))
+        local = Pythia(trace_path, mode="predict")
+        with OracleServer(sock_path, store=TraceStore()) as _srv, \
+                FaultyTransport(sock_path, proxy_path) as proxy:
+            client = PythiaClient(
+                trace_path, socket=proxy_path, timeout=1.0, retry=FAST_RETRY
+            )
+            with pytest.raises(OracleServiceError) as exc_info:
+                with client.pipeline(window=32) as pipe:
+                    # the session is open: cut the 6th reply of the window
+                    proxy.cut_mid_reply(proxy.replies_forwarded + 6)
+                    for name, payload in events[:16]:
+                        pipe.submit(name, payload)
+                    pipe.drain()
+            assert exc_info.value.code == "unavailable"
+            assert proxy.cuts == 1
+            expected = [
+                (m, pred_key(p))
+                for m, p in (local.event_and_predict(n, q) for n, q in events[:5])
+            ]
+            assert [(m, pred_key(p)) for m, p in pipe.results] == expected
+            assert list(client._rings[0]) == events[:5]
+            for i, (name, payload) in enumerate(events[5:40]):
+                lm, lp = local.event_and_predict(name, payload, distance=2)
+                cm, cp = client.event_and_predict(name, payload, distance=2)
+                assert (lm, pred_key(lp)) == (cm, pred_key(cp)), i
+            # one fresh session, resynchronised from the confirmed prefix
+            resyncs = [e for e in client._flight.entries()
+                       if e.get("message") == "resync"]
+            assert [e["replayed"] for e in resyncs] == [5]
+            assert not client.degraded
+            client.finish()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.oracle import Pythia
 from repro.core.predict import METRIC_FAMILIES as PREDICT_FAMILIES
 from repro.core.record import METRIC_FAMILIES as RECORD_FAMILIES
 from repro.core.successor import METRIC_FAMILIES as SUCCESSOR_FAMILIES
@@ -138,3 +139,26 @@ class TestMetricsOp:
         latency = stats["latency"]["observe"]
         assert set(latency) == {"count", "p50_us", "p95_us", "p99_us"}
         assert latency["count"] == 1
+
+
+class TestScrapesDoNotStarveTheWatchers:
+    def test_metrics_every_16_events_still_feeds_flight_and_drift(
+        self, npb_trace, server
+    ):
+        """A scrape flushes every live tracker's metrics; it must not
+        restart the count the tracker's watcher cadence waits on."""
+        reference = Pythia(npb_trace, mode="predict").reference
+        stream = [
+            reference.registry.event(t)
+            for t in reference.threads[0].grammar.unfold()[:300]
+        ]
+        steps = [(event.name, event.payload) for event in stream]
+        steps += [("never_recorded_event", None)] * 200
+        with PythiaClient(npb_trace, socket=server.socket_path) as client:
+            for i, (name, payload) in enumerate(steps, 1):
+                client.event(name, payload)
+                if i % 16 == 0:
+                    scrape(server)
+            dump = client.flight_dump()
+        assert dump["drift"]["state"] == "diverged"
+        assert any(e["kind"] == "run" for e in dump["entries"])
