@@ -59,18 +59,19 @@ from repro.obs.accuracy import AccuracyTracker
 
 __all__ = ["Prediction", "PythiaPredict"]
 
-#: registry flushes happen every this many observations (the hot path
-#: only bumps plain ints; scrapers call :meth:`PythiaPredict.flush_metrics`)
+#: the tracker's clock publishes its counters and samples its candidate
+#: count once per this many observations (the hot path only bumps plain
+#: ints; readers call :meth:`PythiaPredict.flush_metrics`)
 METRICS_FLUSH_EVERY = 1024
 
 #: the watcher cadence: a tracker feeds its flight recorder and drift
 #: monitor one counter delta every this many observations
 WATCH_EVERY = 32
 
-#: watcher feeds skipped after a calm OK update (flight + drift see
-#: every 4th boundary while nothing is wrong; any anomaly resets this,
-#: so a workload switch is classified within two windows)
-_WATCH_CALM_SKIP = 3
+#: the cadence while the drift monitor reports OK: every 4th boundary
+#: (any anomaly pulls the next feed back to the next boundary, so a
+#: workload switch is classified within two windows)
+_CALM_EVERY = 4 * WATCH_EVERY
 
 #: the counter families a tracker publishes, as ``(name, help)``, in the
 #: order :meth:`PythiaPredict.flush_metrics` reads their values
@@ -169,8 +170,7 @@ class PythiaPredict:
         self.pruned = 0
         #: online hit/miss/lost/time-error scoring of every prediction
         self.accuracy = AccuracyTracker()
-        self._since_flush = 0
-        self._flushed: dict[str, int] = {}
+        self._published = [0] * len(METRIC_FAMILIES)
         #: memo of ``timing.estimate`` per chain — a pure
         #: function of the immutable table, used by both traversal paths
         self._eta_cache: dict[Chain, float | None] = {}
@@ -187,18 +187,14 @@ class PythiaPredict:
         self._sim_memo_items = 0
         #: optional observability hooks (see attach_flight / attach_drift).
         #: The matched fast path never touches them: both are fed from
-        #: :meth:`_tick`, whose cadence ``_flush_every`` drops from
-        #: METRICS_FLUSH_EVERY to WATCH_EVERY while either is attached.
+        #: :meth:`_tick`.
         self.flight = None
         self.drift = None
-        self._flush_every = METRICS_FLUSH_EVERY
-        self._metrics_every = 1
-        self._ticks = 0
-        #: remaining watcher boundaries to skip (calm-stretch; cleared
-        #: to 0 by the anomaly cold paths)
-        self._watch_skip = 0
-        #: counters at the last watcher feed: observed, matched,
-        #: unexpected, unknown, hits, misses, resyncs
+        #: the tracker's one counter clock: :meth:`_tick` runs when
+        #: ``observed`` reaches it
+        self._due = METRICS_FLUSH_EVERY
+        #: counters at the last feed: observed, matched, unexpected,
+        #: unknown, hits, misses, resyncs
         self._fed = (0, 0, 0, 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
@@ -218,66 +214,69 @@ class PythiaPredict:
         occurred in the reference execution the tracker becomes *lost*
         and the runtime must fall back to its heuristics until a known
         event shows up.  ``now`` (any monotone clock, e.g. the recorded
-        timestamps' unit) feeds the online time-error scoring.
+        timestamps' unit) feeds the online time-error scoring.  The
+        clock (:meth:`_tick`) runs after the event is classified, so a
+        feed carries the outcome of every event it counts.
         """
         self.observed += 1
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._tick()
-        machine = self.machine
-        cands = self.candidates
-        if cands:
-            if machine is not None and len(cands) == 1:
-                # in-sync fast path: one deterministic-table lookup.
-                # A post-prune singleton always carries weight 1.0, so
-                # {next: 1.0} is exactly what the general path computes.
-                chain = next(iter(cands))
-                det = machine.deterministic_next(chain)
-                if det is not None and det[1] == terminal:
-                    self.candidates = {det[0]: 1.0}
+        try:
+            machine = self.machine
+            cands = self.candidates
+            if cands:
+                if machine is not None and len(cands) == 1:
+                    # in-sync fast path: one deterministic-table lookup.
+                    # A post-prune singleton always carries weight 1.0, so
+                    # {next: 1.0} is exactly what the general path computes.
+                    chain = next(iter(cands))
+                    det = machine.deterministic_next(chain)
+                    if det is not None and det[1] == terminal:
+                        self.candidates = {det[0]: 1.0}
+                        self.matched += 1
+                        self.accuracy.note_observation(
+                            terminal, matched=True, lost=False, now=now
+                        )
+                        return True
+                matched: dict[Chain, float] = {}
+                if machine is not None:
+                    for chain, weight in cands.items():
+                        for succ, rw, succ_terminal in machine.expand(chain):
+                            if succ_terminal == terminal:
+                                w = rw if weight == 1.0 else rw * weight
+                                matched[succ] = matched.get(succ, 0.0) + w
+                else:
+                    for chain, weight in cands.items():
+                        for succ, w in successors(self.grammar, chain, weight):
+                            if succ is END or not succ:
+                                continue
+                            if terminal_of(self.grammar, succ) == terminal:
+                                matched[succ] = matched.get(succ, 0.0) + w
+                if matched:
+                    self.candidates = self._prune(matched)
                     self.matched += 1
-                    self.accuracy.note_observation(
-                        terminal, matched=True, lost=False, now=now
-                    )
+                    self.accuracy.note_observation(terminal, matched=True, lost=False, now=now)
                     return True
-            matched: dict[Chain, float] = {}
-            if machine is not None:
-                for chain, weight in cands.items():
-                    for succ, rw, succ_terminal in machine.expand(chain):
-                        if succ_terminal == terminal:
-                            w = rw if weight == 1.0 else rw * weight
-                            matched[succ] = matched.get(succ, 0.0) + w
-            else:
-                for chain, weight in cands.items():
-                    for succ, w in successors(self.grammar, chain, weight):
-                        if succ is END or not succ:
-                            continue
-                        if terminal_of(self.grammar, succ) == terminal:
-                            matched[succ] = matched.get(succ, 0.0) + w
-            if matched:
-                self.candidates = self._prune(matched)
-                self.matched += 1
-                self.accuracy.note_observation(terminal, matched=True, lost=False, now=now)
-                return True
-            self.unexpected += 1
-        restart = (
-            machine.start_chains(terminal)
-            if machine is not None
-            else start_chains(self.grammar, terminal)
-        )
-        if not restart:
-            self.unknown += 1
-            self.candidates = {}
-            self.accuracy.note_observation(terminal, matched=False, lost=True, now=now)
-            self._anomaly("unknown", terminal)
+                self.unexpected += 1
+            restart = (
+                machine.start_chains(terminal)
+                if machine is not None
+                else start_chains(self.grammar, terminal)
+            )
+            if not restart:
+                self.unknown += 1
+                self.candidates = {}
+                self.accuracy.note_observation(terminal, matched=False, lost=True, now=now)
+                self._anomaly("unknown", terminal)
+                return False
+            agg: dict[Chain, float] = {}
+            for chain, w in restart:
+                agg[chain] = agg.get(chain, 0.0) + w
+            self.candidates = self._prune(agg)
+            self.accuracy.note_observation(terminal, matched=False, lost=False, now=now)
+            self._anomaly("restart", terminal)
             return False
-        agg: dict[Chain, float] = {}
-        for chain, w in restart:
-            agg[chain] = agg.get(chain, 0.0) + w
-        self.candidates = self._prune(agg)
-        self.accuracy.note_observation(terminal, matched=False, lost=False, now=now)
-        self._anomaly("restart", terminal)
-        return False
+        finally:
+            if self.observed >= self._due:
+                self._tick()
 
     def observe_unknown(self, *, now: float | None = None) -> bool:
         """Submit an event absent from the reference registry.
@@ -288,19 +287,21 @@ class PythiaPredict:
         statistics.  Always returns False.
         """
         self.observed += 1
-        self._since_flush += 1
         self.unknown += 1
         self.candidates = {}
         self.accuracy.note_observation(None, matched=False, lost=True, now=now)
         self._anomaly("unknown", None)
-        if self._since_flush >= self._flush_every:
+        if self.observed >= self._due:
             self._tick()
         return False
 
     def _anomaly(self, outcome: str, terminal: int | None) -> None:
-        """Cold-path hook of a restart or unknown event: the watchers
-        feed at full cadence again, and the flight recorder journals it."""
-        self._watch_skip = 0
+        """Cold-path hook of a restart or unknown event: a calm stretch
+        of the clock ends at its next WATCH_EVERY boundary, and the
+        flight recorder journals the event."""
+        if self.drift is not None:
+            due = self._due
+            self._due = due - (due - self.observed) // WATCH_EVERY * WATCH_EVERY
         if self.flight is not None:
             self.flight.anomaly(outcome, terminal, self)
 
@@ -684,34 +685,28 @@ class PythiaPredict:
 
         The monitor consumes the counter delta of every watcher feed
         (see :meth:`_tick`), so the matched fast path pays nothing per
-        event beyond the existing ``_since_flush`` bump.  The monitor
-        may be shared by several trackers; it keeps no reference to any.
+        event beyond the clock's one comparison.  The monitor may be
+        shared by several trackers; it keeps no reference to any.
         """
         self.drift = monitor
         self._retune()
 
     def _retune(self) -> None:
-        if self.flight is None and self.drift is None:
-            self._flush_every = METRICS_FLUSH_EVERY
-            self._metrics_every = 1
-        else:
-            self._flush_every = WATCH_EVERY
-            self._metrics_every = METRICS_FLUSH_EVERY // WATCH_EVERY
-        self._ticks = 0
-        self._watch_skip = 0
+        """Restart the clock at the base cadence of the attached watchers."""
+        watched = self.flight is not None or self.drift is not None
+        self._due = self.observed + (WATCH_EVERY if watched else METRICS_FLUSH_EVERY)
 
     def feed_watchers(self) -> None:
         """Hand the counter delta since the last feed to the watchers.
 
         The delta (observed, matched, unexpected, unknown, hits, misses,
         resyncs) is computed once and passed to the flight recorder, then
-        to the drift monitor; a no-op without watchers or new events.
-        :meth:`_tick` calls it; call it to absorb a trailing partial block.
+        to the drift monitor; a no-op without new events.  A feed that
+        crosses a multiple of :data:`METRICS_FLUSH_EVERY` observations
+        also samples ``pythia_predict_candidates`` and publishes the
+        counters.  :meth:`_tick` calls it; call it to absorb a trailing
+        partial block.
         """
-        flight = self.flight
-        drift = self.drift
-        if flight is None and drift is None:
-            return
         prev = self._fed
         if self.observed == prev[0]:
             return
@@ -719,40 +714,36 @@ class PythiaPredict:
         self._fed = now = (self.observed, self.matched, self.unexpected, self.unknown,
                            acc.hits, acc.misses, acc.resyncs + acc.unexpected_restarts)
         delta = tuple(map(sub, now, prev))
-        if flight is not None:
-            flight.tick(self, delta)
-        if drift is not None:
-            drift.update(self, delta)
+        if self.flight is not None:
+            self.flight.tick(self, delta)
+        if self.drift is not None:
+            self.drift.update(self, delta)
+        if now[0] // METRICS_FLUSH_EVERY != prev[0] // METRICS_FLUSH_EVERY:
+            obs_metrics.get_registry().histogram(
+                "pythia_predict_candidates",
+                help="Candidate-chain set size at flush points",
+            ).observe(len(self.candidates))
+            self.flush_metrics()
 
     def _tick(self) -> None:
-        """Hook off the observe hot path, every ``_flush_every`` events.
+        """The clock, run by the observation that reaches ``_due``.
 
-        Observations only bump ``_since_flush``.  With a flight recorder
-        or a drift monitor attached this runs at the tracker's one
-        watcher cadence, :data:`WATCH_EVERY`, and feeds both through
-        :meth:`feed_watchers`; metrics flush every METRICS_FLUSH_EVERY
-        observations either way.
-
-        While the monitor reports OK and the window had no anomalies the
-        feed stretches to every ``_WATCH_CALM_SKIP + 1``-th boundary: a
-        calm run entry simply covers a longer block.  The anomaly cold
-        paths zero ``_watch_skip``, so after a workload switch the
-        monitor sees a mostly-anomalous window within two windows (at
-        most 63 events) and the journal snaps back to one entry per
-        window.  Without a drift monitor nothing is ever skipped.
+        It feeds the watchers (:meth:`feed_watchers`) and sets the next
+        due count :data:`WATCH_EVERY` observations ahead with a flight
+        recorder or a drift monitor attached, METRICS_FLUSH_EVERY ahead
+        without.  While the monitor reports OK the next feed is
+        :data:`_CALM_EVERY` ahead: a calm run entry covers a longer
+        block.  An anomaly pulls ``_due`` back to the next WATCH_EVERY
+        boundary, so after a workload switch the monitor sees a
+        mostly-anomalous window within two windows (at most 63 events)
+        and the journal snaps back to one entry per window.  Reads
+        never move the clock.
         """
-        self._since_flush = 0
-        if self._watch_skip > 0:
-            self._watch_skip -= 1
-        else:
-            self.feed_watchers()
-            drift = self.drift
-            if drift is not None and drift.state == "ok":
-                self._watch_skip = _WATCH_CALM_SKIP
-        self._ticks += 1
-        if self._ticks >= self._metrics_every:
-            self._ticks = 0
-            self.flush_metrics()
+        self.feed_watchers()
+        self._retune()
+        drift = self.drift
+        if drift is not None and drift.state == "ok":
+            self._due += _CALM_EVERY - WATCH_EVERY
 
     # ------------------------------------------------------------------
 
@@ -783,28 +774,22 @@ class PythiaPredict:
     def flush_metrics(self) -> None:
         """Publish counter deltas to the process metrics registry.
 
-        Called automatically every :data:`METRICS_FLUSH_EVERY`
-        observations and from :meth:`stats`; the daemon also calls it at
-        scrape time so `pythia-trace metrics` sees live values.  It
-        leaves the watcher cadence alone: only :meth:`_tick` restarts
-        the count, so however often a tracker is read, it is still fed.
+        Idempotent: it publishes what the counters gained since the last
+        publish and samples nothing, so :meth:`stats`, the daemon's
+        scrape collector and a closing session all call it.  It leaves
+        the clock alone; the clock also publishes once per
+        :data:`METRICS_FLUSH_EVERY` observations.
         """
         reg = obs_metrics.get_registry()
         if not reg.enabled:
             return
         acc = self.accuracy
-        values = (self.observed, self.matched, self.unexpected, self.unknown,
-                  self.predictions, self.pruned, acc.hits, acc.misses,
-                  acc.lost_events, acc.resyncs)
-        flushed = self._flushed
-        for (name, help_text), value in zip(METRIC_FAMILIES, values, strict=True):
-            delta = value - flushed.get(name, 0)
-            if delta:
-                reg.counter(name, help=help_text).inc(delta)
-                flushed[name] = value
-        reg.histogram(
-            "pythia_predict_candidates",
-            help="Candidate-chain set size at flush points",
-        ).observe(len(self.candidates))
+        obs_metrics.publish_deltas(
+            reg, METRIC_FAMILIES,
+            (self.observed, self.matched, self.unexpected, self.unknown,
+             self.predictions, self.pruned, acc.hits, acc.misses,
+             acc.lost_events, acc.resyncs),
+            self._published,
+        )
         if self.machine is not None:
             self.machine.flush_metrics()

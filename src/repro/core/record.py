@@ -68,13 +68,8 @@ class PythiaRecord:
         #: registry then matches it by identity, and no Event is built per call
         self._events: dict[tuple[str, Hashable], Event] = {}
         self._finished = False
-        reg = obs_metrics.get_registry()
-        self._m_events, self._m_rules, self._m_merges = (
-            reg.counter(name, help=help_text) for name, help_text in METRIC_FAMILIES
-        )
         self._unflushed_events = 0
-        self._flushed_rules = 0
-        self._flushed_merges = 0
+        self._published = [0] * len(METRIC_FAMILIES)
 
     @property
     def event_count(self) -> int:
@@ -114,17 +109,13 @@ class PythiaRecord:
 
     def flush_metrics(self) -> None:
         """Publish batched deltas to the process metrics registry."""
-        if self._unflushed_events:
-            self._m_events.inc(self._unflushed_events)
-            self._unflushed_events = 0
-        rules = self.grammar.rules_created
-        if rules != self._flushed_rules:
-            self._m_rules.inc(rules - self._flushed_rules)
-            self._flushed_rules = rules
-        merges = self.grammar.exponent_merges
-        if merges != self._flushed_merges:
-            self._m_merges.inc(merges - self._flushed_merges)
-            self._flushed_merges = merges
+        self._unflushed_events = 0
+        grammar = self.grammar
+        obs_metrics.publish_deltas(
+            obs_metrics.get_registry(), METRIC_FAMILIES,
+            (len(grammar), grammar.rules_created, grammar.exponent_merges),
+            self._published,
+        )
 
     def finish(self) -> ThreadTrace:
         """Freeze the grammar (and build the timing table if recording times)."""

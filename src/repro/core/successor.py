@@ -132,7 +132,7 @@ class SuccessorMachine:
         "misses",
         "evictions",
         "det_hits",
-        "_flushed",
+        "_published",
         "__weakref__",
     )
 
@@ -151,7 +151,7 @@ class SuccessorMachine:
         self.misses = 0
         self.evictions = 0
         self.det_hits = 0
-        self._flushed: dict[str, int] = {}
+        self._published = [0] * len(METRIC_FAMILIES)
 
     @property
     def grammar(self) -> FrozenGrammar:
@@ -304,24 +304,19 @@ class SuccessorMachine:
     def flush_metrics(self) -> None:
         """Publish counter deltas and size gauges to the process registry.
 
-        Uses the same delta-flush pattern as
-        :meth:`~repro.core.predict.PythiaPredict.flush_metrics`; safe to
-        call from every tracker sharing this machine.
+        Idempotent (:func:`~repro.obs.metrics.publish_deltas` under the
+        machine's lock), so every tracker sharing this machine may call it.
         """
         reg = obs_metrics.get_registry()
         if not reg.enabled:
             return
         with self._lock:
-            values = (self.hits, self.misses, self.evictions, self.det_hits)
-            deltas = []
-            for (name, help_text), value in zip(METRIC_FAMILIES, values, strict=True):
-                delta = value - self._flushed.get(name, 0)
-                if delta > 0:
-                    deltas.append((name, help_text, delta))
-                    self._flushed[name] = value
+            obs_metrics.publish_deltas(
+                reg, METRIC_FAMILIES,
+                (self.hits, self.misses, self.evictions, self.det_hits),
+                self._published,
+            )
             entries = len(self._memo)
-        for name, help_text, delta in deltas:
-            reg.counter(name, help=help_text).inc(delta)
         reg.gauge(
             "pythia_successor_cache_entries", help="Memoized successor expansions"
         ).set(entries)

@@ -21,8 +21,8 @@ callbacks — the OpenMP thread-count policy uses one to fall back to
 default thread counts while DIVERGED.
 
 Cost model: the monitor is *not* fed per event.  The tracker's hot path
-already counts observations toward a flush threshold; attaching a
-monitor lowers that threshold to the tracker's watcher cadence
+already compares its observation count with its counter clock;
+attaching a monitor sets that clock to the watcher cadence
 (:data:`~repro.core.predict.WATCH_EVERY`, 32) and the tracker hands
 :meth:`DriftMonitor.update` one counter **delta** per boundary — the
 matched fast path pays zero additional work per event.  While the state

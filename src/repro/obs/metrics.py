@@ -44,6 +44,7 @@ __all__ = [
     "merge_expositions",
     "metrics_enabled",
     "parse_prometheus_text",
+    "publish_deltas",
     "quantile_from_buckets",
     "render_prometheus",
 ]
@@ -539,6 +540,23 @@ def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
 def metrics_enabled() -> bool:
     """True when the process registry records anything."""
     return get_registry().enabled
+
+
+def publish_deltas(
+    registry: MetricsRegistry,
+    families: Iterable[tuple[str, str]],
+    values: Iterable[int],
+    published: list[int],
+) -> None:
+    """Add to each ``(name, help)`` counter what its value gained since
+    the values last stored in ``published`` (the caller's list, from
+    ``[0] * len(families)``), and store them: the batched flush of
+    objects whose hot paths bump plain ints, idempotent per call."""
+    for i, ((name, help_text), value) in enumerate(zip(families, values, strict=True)):
+        delta = value - published[i]
+        if delta:
+            registry.counter(name, help=help_text).inc(delta)
+            published[i] = value
 
 
 # ----------------------------------------------------------------------

@@ -430,6 +430,7 @@ class PythiaClient:
         #: deployments; None for a single-process daemon)
         self._worker: int | None = None
         self._sock: "socket.socket | None" = None
+        self._lost = False  # True from a lost connection to its replacement
         try:
             self._sock = self._connect(socket, timeout)
         except OSError as exc:
@@ -479,6 +480,7 @@ class PythiaClient:
             except OSError:
                 pass
             self._sock = None
+            self._lost = True
         self._sessions.clear()
         self._snums.clear()
         self._sid_bound = False  # a fresh connection starts unbound
@@ -891,12 +893,14 @@ class PythiaClient:
                     sleep(policy.backoff(attempts, self._rng))
 
     def _reconnect(self, attempts: int) -> None:
-        """One connect attempt; transport errors become retryable."""
+        """One connect attempt; transport errors become retryable.  Only a
+        connection that replaces a lost one counts as a reconnect."""
         try:
             self._sock = self._connect(self.address, self._timeout)
         except OSError as exc:
             raise _RetryableFailure(exc) from exc
-        if attempts:
+        if self._lost:
+            self._lost = False
             self.counters["reconnects"] += 1
             self._m_reconnects.inc()
             self._flight.note("reconnect", attempts=attempts)

@@ -584,6 +584,9 @@ class OracleServer:
             for s in dead:
                 del self._sessions[s.session_id]
                 self.counters["sessions_closed"] += 1
+        for s in dead:
+            with s.lock:
+                s.tracker.flush_metrics()
 
     # ------------------------------------------------------------------
     # request dispatch
@@ -882,6 +885,8 @@ class OracleServer:
         with self._lock:
             self._sessions.pop(session.session_id, None)
             self.counters["sessions_closed"] += 1
+        with session.lock:
+            session.tracker.flush_metrics()
         return {"session": session.session_id}
 
     @staticmethod
@@ -1124,36 +1129,32 @@ class OracleServer:
     def _join_live(
         live: list[_Session], sids: list[str]
     ) -> dict[str, tuple[list[str], dict, list[str]]]:
-        """Join live daemon sessions to the client session ids ``sids``.
+        """Read every live session once and join them to the client
+        session ids ``sids``.
 
-        For each id that owns live sessions: their sorted session ids,
-        the :func:`aggregate_stats` of their trackers' ``stats()`` and
-        their trackers' drift states, each tracker read under its
-        session's lock.  The ``sessions`` op and the per-session metrics
-        collector both read this.
+        Each tracker's ``stats()`` is read under its session's lock,
+        which publishes its counters.  For each id that owns live
+        sessions: their sorted session ids, the :func:`aggregate_stats`
+        of their trackers' ``stats()`` and their trackers' drift states.
+        The ``sessions`` op and the metrics collector both read this.
         """
-        by_sid: dict[str, list[_Session]] = {}
+        by_sid: dict[str | None, list[tuple[str, dict, str | None]]] = {}
         for session in live:
-            if session.ctx_sid is not None:
-                by_sid.setdefault(session.ctx_sid, []).append(session)
+            with session.lock:
+                drift = session.tracker.drift
+                by_sid.setdefault(session.ctx_sid, []).append((
+                    session.session_id, session.tracker.stats(),
+                    None if drift is None else drift.state,
+                ))
         joined = {}
         for sid in sids:
-            owned = by_sid.get(sid)
-            if not owned:
-                continue
-            reports = []
-            drift_states = []
-            for session in owned:
-                with session.lock:
-                    reports.append(session.tracker.stats())
-                    drift = session.tracker.drift
-                    if drift is not None:
-                        drift_states.append(drift.state)
-            joined[sid] = (
-                sorted(s.session_id for s in owned),
-                aggregate_stats(reports),
-                drift_states,
-            )
+            if sid in by_sid:
+                ids, reports, states = zip(*by_sid[sid])
+                joined[sid] = (
+                    sorted(ids),
+                    aggregate_stats(list(reports)),
+                    [state for state in states if state is not None],
+                )
         return joined
 
     #: labeled per-session families published by the collector; removed
@@ -1277,10 +1278,8 @@ class OracleServer:
                     f"pythia_server_trace_store_{key}_total",
                     help="Trace store lookup outcome",
                 )._set_total(store[key])
-        for session in sessions:
-            with session.lock:
-                session.tracker.flush_metrics()
-        # labeled per-client-session series; bounded by the LRU table
+        # reads (and so publishes) every live tracker once; labeled
+        # per-client-session series are bounded by the LRU table
         # (eviction removes a sid's series via _drop_session_metrics)
         entries = self.session_stats.entries()
         joined = self._join_live(sessions, [entry.sid for entry in entries])

@@ -34,9 +34,13 @@ class TestJournal:
         assert entries[0]["outcome"] == "restart"
         assert len(runs) == len(stream) // WATCH_EVERY
         assert all(e["events"] == WATCH_EVERY for e in runs)
+        # each entry carries the outcome of every event it counts; the
+        # first holds the initial attach, which is none of the three
         assert all(
-            e["matched"] + e["unexpected"] + e["unknown"] <= WATCH_EVERY for e in runs
+            e["matched"] + e["unexpected"] + e["unknown"] == e["events"] for e in runs[1:]
         )
+        assert runs[0]["matched"] == WATCH_EVERY - 1
+        assert sum(e["matched"] for e in runs) == tracker.matched == len(stream) - 1
         assert all(e["drift_state"] == 0 for e in runs)
 
     def test_feed_absorbs_the_partial_block(self):

@@ -946,5 +946,8 @@ class TestPipelineTransportFailure:
             resyncs = [e for e in client._flight.entries()
                        if e.get("message") == "resync"]
             assert [e["replayed"] for e in resyncs] == [5]
+            # the connection the pipeline lost was replaced once, by the
+            # next call, outside any request retry
+            assert client.counters["reconnects"] == 1
             assert not client.degraded
             client.finish()

@@ -35,15 +35,12 @@ from repro.server import OracleServer, OracleSupervisor, PythiaClient, TraceStor
 from tests.server.test_chaos import record_loop_trace
 
 #: families whose values legitimately differ between two scrapes taken
-#: milliseconds apart: clocks, CPU and fd churn, the scrape counter only
-#: the HTTP endpoint maintains, and pythia_predict_candidates — a
-#: histogram that samples each live tracker once per flush, i.e. once
-#: per scrape
+#: milliseconds apart: clocks, CPU and fd churn, and the scrape counter
+#: only the HTTP endpoint maintains
 VOLATILE = (
     "pythia_process_",
     "pythia_http_requests_total",
     "pythia_session_age_seconds",
-    "pythia_predict_candidates",
 )
 
 

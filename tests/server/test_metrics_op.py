@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.oracle import Pythia
@@ -162,3 +164,38 @@ class TestScrapesDoNotStarveTheWatchers:
             dump = client.flight_dump()
         assert dump["drift"]["state"] == "diverged"
         assert any(e["kind"] == "run" for e in dump["entries"])
+
+
+class TestClosedSessionsPublish:
+    @pytest.mark.parametrize("close", ["finish", "drop"])
+    def test_a_session_closed_between_scrapes_keeps_its_counts(
+        self, npb_trace, server, close
+    ):
+        """A tracker publishes its counters when its session closes, by
+        ``close_session`` or with its connection: the observations made
+        since it was last read must not vanish with it."""
+        reference = Pythia(npb_trace, mode="predict").reference
+        steps = [
+            (event.name, event.payload)
+            for event in map(
+                reference.registry.event, reference.threads[0].grammar.unfold()[:300]
+            )
+        ]
+        with PythiaClient(npb_trace, socket=server.socket_path) as client:
+            for name, payload in steps:
+                client.event(name, payload)
+            client.stats()
+        client = PythiaClient(npb_trace, socket=server.socket_path)
+        for name, payload in steps:
+            client.event(name, payload)
+        if close == "finish":
+            client.finish()
+        else:
+            client._invalidate_connection()
+            deadline = time.monotonic() + 10.0
+            while server.counters["sessions_closed"] < 2:
+                assert time.monotonic() < deadline, "the dropped session never closed"
+                time.sleep(0.01)
+        parsed = parse_exposition(scrape(server))
+        assert parsed["pythia_server_events_observed"] == 600
+        assert parsed["pythia_predict_observe_total"] == 600
