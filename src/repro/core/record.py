@@ -27,7 +27,9 @@ METRICS_FLUSH_EVERY = 4096
 #: rules created, exponent merges
 METRIC_FAMILIES: tuple[tuple[str, str], ...] = (
     ("pythia_record_events_total", "Events ingested by PYTHIA-RECORD"),
-    ("pythia_record_rules_created_total", "Grammar rules created while recording"),
+    ("pythia_record_rules_created_total",
+     "Grammar rule ids allocated while recording, including those of the rules "
+     "a repeated loop iteration skips building"),
     ("pythia_record_exponent_merges_total",
      "Consecutive-repetition exponent merges while recording"),
 )

@@ -152,6 +152,7 @@ from repro.server.protocol import (
     encode_payload,
     read_frame,
     read_frame_any,
+    unix_address,
     write_frame,
 )
 
@@ -450,7 +451,8 @@ class PythiaClient:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             try:
                 sock.settimeout(timeout)
-                sock.connect(os.fspath(address))
+                with unix_address(address) as path:
+                    sock.connect(path)
             except OSError:
                 sock.close()
                 raise

@@ -134,6 +134,7 @@ from repro.server.protocol import (
     encode_bin_prediction,
     encode_json_frame,
     encode_prediction,
+    unix_address,
 )
 from repro.server.store import ArtifactWriteError, TraceBundle, TraceStore
 
@@ -165,7 +166,8 @@ def bind_listener(
         except FileNotFoundError:
             pass
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(socket_path)
+        with unix_address(socket_path) as address:
+            listener.bind(address)
     elif tcp_address is not None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)

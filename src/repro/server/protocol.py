@@ -85,9 +85,11 @@ one.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import struct
-from typing import Hashable
+from contextlib import contextmanager
+from typing import Hashable, Iterator
 
 from repro.core.predict import Prediction
 
@@ -130,6 +132,7 @@ __all__ = [
     "decode_prediction",
     "encode_bin_prediction",
     "decode_bin_prediction",
+    "unix_address",
 ]
 
 _HEADER = struct.Struct(">I")
@@ -138,6 +141,31 @@ _JSON_HEAD = _HEADER.size
 #: refuse frames beyond this many bytes (a batch of ~100k events fits
 #: comfortably; anything larger is a bug or an attack, not a request)
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
+
+#: longest path an AF_UNIX address holds (``sun_path`` is 108 bytes, NUL included)
+UNIX_PATH_MAX = 107
+
+
+@contextmanager
+def unix_address(path) -> Iterator[str]:
+    """``path`` as an AF_UNIX address, for one ``bind`` or ``connect``.
+
+    A path longer than :data:`UNIX_PATH_MAX` bytes is reached through an
+    ``O_PATH`` descriptor of its directory (``/proc/self/fd/N/<name>``, on
+    Linux), held open for the duration of the block, so a socket can live
+    in a directory however deep.
+    """
+    path = os.fspath(path)
+    if len(os.fsencode(path)) <= UNIX_PATH_MAX:
+        yield path
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    fd = os.open(directory, os.O_PATH | os.O_DIRECTORY)
+    try:
+        yield f"/proc/self/fd/{fd}/{name}"
+    finally:
+        os.close(fd)
+
 
 # -- binary framing (protocol v2) --------------------------------------
 

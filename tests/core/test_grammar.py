@@ -222,6 +222,26 @@ class TestRuleUtility:
             g.check_invariants()
 
 
+class TestRepeatedIteration:
+    def test_later_iterations_skip_the_repair_loop(self):
+        """A repeated iteration of the root's tail is recorded as an
+        exponent bump (``test_grammar_properties.py`` checks the result
+        against the repair loop alone)."""
+        body = [A, B, C, D, B, C]
+        g = build_grammar(body * 4)
+        created = g.rules_created
+        repairs = []
+        check_digram = g._check_digram
+        g._check_digram = lambda left: (repairs.append(left), check_digram(left))
+        g.extend(body * 20)
+        assert repairs == []
+        assert len(g) == len(body) * 24
+        assert g.rules_created > created  # skipped rules still take their ids
+        (sym, exp), = g.root.body()
+        assert exp == 24 and g.unfold() == body * 24
+        g.check_invariants()
+
+
 class TestUnfold:
     @pytest.mark.parametrize(
         "seq",

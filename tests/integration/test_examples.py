@@ -43,6 +43,16 @@ def test_example_runs(name, tmp_path):
     assert out.strip()
 
 
+def test_socket_example_runs_under_a_deep_tmpdir(tmp_path):
+    """The daemon's socket lives under ``TMPDIR`` even when its path is
+    longer than an AF_UNIX address holds (107 bytes)."""
+    deep = tmp_path / ("d" * max(1, 108 - len(str(tmp_path))))
+    deep.mkdir()
+    assert len(str(deep)) >= 108
+    out = run_example(deep, "oracle_service.py")
+    assert "2 sessions" in out
+
+
 def test_quickstart_predicts(tmp_path):
     out = run_example(tmp_path, "quickstart.py")
     assert "mode=record" in out
