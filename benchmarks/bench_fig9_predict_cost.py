@@ -15,19 +15,38 @@ writes per-distance costs (µs), observe / fused-loop throughput, cache
 hit rates and the speedups against the pre-machine ``results/fig9.txt``
 numbers, for a small BT and LULESH workload.  CI runs exactly that and
 archives the JSON.
+
+What the rows time: every ``predict_us`` row (like every pytest row
+above) repeats ``predict(d)`` from one warm state — a tracker that
+observed the first 64 events is asked the same question again and
+again.  That is the deterministic best case: ``simulations`` counts the
+``_simulate`` calls per row, none of the compiled predicts on BT and
+LULESH and every reference one, and after its first call a compiled
+walk reads every climb from the successor machine's deterministic table
+(its in-body steps are computed from the per-position table on every
+call).  The floors below gate those warm rows.  ``predict_cold_us`` is
+report-only: the median cost of one ``predict(d)`` from a fresh tracker
+on a freshly built successor machine (over :data:`COLD_BUILDS` builds),
+whose walk reaches chains no lookup has touched, as at the
+synchronisation points of a new application run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import time
 
 import pytest
 
 from repro.core.predict import PythiaPredict
+from repro.core.successor import SuccessorMachine
 
 DISTANCES = (1, 4, 16, 64)
+
+#: fresh machines built per distance for the cold row (its median)
+COLD_BUILDS = 31
 
 #: pre-successor-machine costs from results/fig9.txt (µs per predict)
 BASELINE_US = {
@@ -141,8 +160,10 @@ def _bench_app(app: str, distances=DISTANCES) -> dict:
     tt = record.trace.thread(1)
     stream = tt.grammar.unfold()
 
-    def tracker(compiled):
+    def tracker(compiled, *, fresh_machine=False):
         p = PythiaPredict(tt.grammar, tt.timing, compiled=compiled)
+        if fresh_machine:
+            p.machine = SuccessorMachine(tt.grammar)
         for ev in stream[:64]:
             p.observe(ev)
         return p
@@ -151,13 +172,19 @@ def _bench_app(app: str, distances=DISTANCES) -> dict:
         "events": len(stream),
         "rules": tt.grammar.rule_count,
         "predict_us": {},
+        "simulations": {},
+        "predict_cold_us": {},
         "speedup_vs_reference": {},
         "speedup_vs_fig9": {},
     }
     reference, compiled = tracker(False), tracker(True)
+    simulations = {"reference": _count_simulations(reference),
+                   "compiled": _count_simulations(compiled)}
     for d in distances:
         per = {}
+        sims = {}
         for label, p in (("reference", reference), ("compiled", compiled)):
+            before = simulations[label][0]
             for _ in range(10):
                 p.predict(d)  # warm cache and allocator
             repeats = max(50, 2000 // d)
@@ -165,11 +192,20 @@ def _bench_app(app: str, distances=DISTANCES) -> dict:
             for _ in range(repeats):
                 p.predict(d)
             per[label] = (time.perf_counter() - t0) / repeats * 1e6
+            sims[label] = f"{simulations[label][0] - before}/{10 + repeats}"
         result["predict_us"][str(d)] = {k: round(v, 3) for k, v in per.items()}
+        result["simulations"][str(d)] = sims
         result["speedup_vs_reference"][str(d)] = round(per["reference"] / per["compiled"], 2)
         baseline = BASELINE_US.get(app, {}).get(d)
         if baseline is not None:
             result["speedup_vs_fig9"][str(d)] = round(baseline / per["compiled"], 2)
+        cold = []
+        for _ in range(COLD_BUILDS):
+            p = tracker(True, fresh_machine=True)
+            t0 = time.perf_counter()
+            p.predict(d)
+            cold.append(time.perf_counter() - t0)
+        result["predict_cold_us"][str(d)] = round(statistics.median(cold) * 1e6, 3)
 
     # steady-state observe: a fresh tracker over the full stream, on the
     # machine the trackers above already warmed (the daemon scenario —
@@ -217,6 +253,19 @@ def _bench_app(app: str, distances=DISTANCES) -> dict:
     return result
 
 
+def _count_simulations(p: PythiaPredict) -> list[int]:
+    """Count the tracker's ``_simulate`` calls in the returned cell."""
+    calls = [0]
+    simulate = p._simulate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return simulate(*args, **kwargs)
+
+    p._simulate = counted
+    return calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_predict.json", help="output JSON path")
@@ -242,6 +291,8 @@ def main(argv=None) -> int:
             f"({result['observe_speedup']}x), "
             f"fused {result['fused_observe_predict_us_per_event']}us/ev"
         )
+        cold = ", ".join(f"d{d}={us}us" for d, us in result["predict_cold_us"].items())
+        print(f"  fresh machine: {cold}")
     report["speedup_floors"] = {str(k): v for k, v in SPEEDUP_FLOOR.items()}
     report["ok"] = not failures
     with open(args.out, "w") as fh:

@@ -13,12 +13,18 @@ aggregates the weight mass per terminal, and reports the most probable
 event — optionally with an estimated delay from the timing table.
 
 By default the tracker runs on the grammar's shared
-:class:`~repro.core.successor.SuccessorMachine`: successor expansions
-are memoized per chain, the in-sync observe step is a single
-deterministic-table lookup, and :meth:`PythiaPredict.observe_and_predict`
-fuses the dominant runtime-system call pattern (submit an event, then
-immediately ask about the future) so the expansion a ``predict`` leaves
-in the cache is the one the next ``observe`` consumes.  Pass
+:class:`~repro.core.successor.SuccessorMachine`.  The in-sync observe
+step, each step of the deterministic ``predict`` walk and the singleton
+step of the simulation are one
+:meth:`~repro.core.successor.SuccessorMachine.deterministic_next` call
+each: a step inside the bottom rule's body is computed from the
+machine's per-position table and stored nowhere, any other
+deterministic step is read from its deterministic table (computed and
+stored once).  Every other expansion is memoized per chain, and
+:meth:`PythiaPredict.observe_and_predict` fuses the dominant
+runtime-system call pattern (submit an event, then immediately ask
+about the future) so the expansion a ``predict`` leaves in the cache
+is the one the next ``observe`` consumes.  Pass
 ``compiled=False`` for the uncached reference traversal — both paths
 perform identical float operations and produce byte-identical
 predictions and statistics.
@@ -224,7 +230,7 @@ class PythiaPredict:
             cands = self.candidates
             if cands:
                 if machine is not None and len(cands) == 1:
-                    # in-sync fast path: one deterministic-table lookup.
+                    # in-sync fast path: one deterministic machine step.
                     # A post-prune singleton always carries weight 1.0, so
                     # {next: 1.0} is exactly what the general path computes.
                     chain = next(iter(cands))
@@ -359,27 +365,20 @@ class PythiaPredict:
         have_time = with_time and self.timing is not None
         if machine is not None and len(cands) == 1 and distance >= 1 and not have_time:
             # deterministic walk: an in-sync tracker predicting ahead is
-            # `distance` dict lookups, a cold chain expanded on the way.
-            # Each step equals one general simulation step on a weight-1.0
-            # singleton (see _simulate's fast path); a branch or END falls
-            # back.
+            # `distance` machine steps.  Each equals one general simulation
+            # step on a weight-1.0 singleton (see _simulate's fast path);
+            # a branch or END falls back.
             chain, weight = next(iter(cands.items()))
             if weight == 1.0 and chain is not END and chain:
-                det_get = machine._det.get
-                term = None
+                step = machine.deterministic_next
                 nx = None
-                warm = 0
                 for _ in range(distance):
-                    nx = det_get(chain)
+                    nx = step(chain)
                     if nx is None:
-                        nx = machine.deterministic_next(chain)
-                        if nx is None:
-                            break
-                    else:
-                        warm += 1
-                    chain, term = nx
-                machine.det_hits += warm
+                        break
+                    chain = nx[0]
                 if nx is not None:
+                    term = nx[1]
                     self.predictions += 1
                     pred = self._det_pred.get(term)
                     if pred is None:

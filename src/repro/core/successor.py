@@ -5,37 +5,52 @@ freezing, so everything :func:`~repro.core.progress.successors` computes
 for a chain is a pure function of the chain — like the per-rule
 summaries that let "Data Race Detection on Compressed Traces" analyse
 the SLP-compressed trace directly, the grammar can be *compiled* into
-lookup structures once and the steady-state step becomes a dictionary
-hit.  One machine is shared per grammar (``FrozenGrammar.machine()``),
-so every tracker — and, in the oracle daemon, every concurrent session
-over the same trace — warms the same cache.  The grammar owns its
-machine, which holds the grammar only weakly (no reference cycle); only
-cold paths dereference it.
+lookup structures once and the steady-state step becomes a table read
+or a dictionary hit.  One machine is shared per grammar
+(``FrozenGrammar.machine()``), so every tracker — and, in the oracle
+daemon, every concurrent session over the same trace — warms the same
+cache.  The grammar owns its machine, which holds the grammar only
+weakly (no reference cycle); only cold paths dereference it.
 
-What is cached
---------------
+What is computed and what is cached
+-----------------------------------
+- **per-position step table** — per rule, per body position (filled
+  lazily): the exponent, the first-terminal prefix of the position's
+  next repetition and that of the next body element, each with its
+  terminal.  Every step that stays in the bottom rule's body (an
+  exponent bump ``it + 1 < exp`` or an in-body advance, nearly every
+  step on a loop) is computed from it by
+  :meth:`SuccessorMachine.deterministic_next` on every call and stored
+  nowhere: a new loop iteration's chains cost one table read each, not a
+  memo miss.  A step that climbs (the body ends and the step loops back
+  or advances at an upper level) is one iterative loop over the same
+  entries.  Both give the tuples and the 1.0 weight of
+  :func:`successors_rel`, which answers every other step (an unknown
+  iteration branches, a partial chain extends through its rule's uses,
+  the trace ends).
 - **expand memo** — chain -> ``((successor, rel_weight, terminal), ...)``,
   the weight-1.0 successor set of :func:`successors_rel` with each
-  successor's terminal precomputed.  Chains are stored as given: a
-  walk's successor is its next lookup key, so keys and successors share
-  one tuple without an intern table.
-- **deterministic-transition table** — the common single-successor case
-  (an in-sync tracker walking a loop body) as a direct
-  chain -> ``(next chain, terminal)`` dict, so the fused observe loop is
-  one dictionary lookup instead of a recursive ``_advance`` walk.
-  :meth:`SuccessorMachine.deterministic_next` expands a chain it has not
-  seen before it reads this table, so its ``None`` means only that the
-  step branches or ends — never that the chain was cold.
-- **per-position step table** — ``(rule, idx)`` -> the position's
-  terminal, exponent and next in-body first-terminal prefix.  A cache
-  miss whose step stays in the bottom rule's body (an exponent bump or
-  an in-body advance, most of them on a loop) is answered from it in
-  O(1) instead of by the recursive traversal, with the same tuples and
-  the same 1.0 weight.
-- **descend prefixes** — ``(rule, idx)`` -> first-terminal chain, used
-  while computing cache misses.
+  successor's terminal precomputed, for every chain :meth:`expand` is
+  asked for (the simulations and multi-candidate observes re-expand the
+  same chains) and every chain whose deterministic step does not stay in
+  the body.  Chains are stored as given: a walk's successor is its next
+  lookup key, so keys and successors share one tuple without an intern
+  table.
+- **deterministic-transition table** — chain -> ``(next chain,
+  terminal)`` for the memoized chains whose step is deterministic and
+  leaves the bottom rule's body, so a climb is computed once.
+  ``deterministic_next`` expands a chain it has not seen before it reads
+  this table, so its ``None`` means only that the step branches or ends
+  — never that the chain was cold.
+- **descend prefixes** — ``(rule, idx)`` -> first-terminal chain, shared
+  by the position entries and the general traversal.
 - **start chains** — per-terminal §II-B2 restart sets (mid-stream attach
   and unexpected-event resync), weighted and normalized once.
+
+Counters: ``hits`` counts expand-memo hits and ``misses`` the chains
+computed and stored (``entries`` is the memo's size).  ``det_hits``
+counts the deterministic steps answered without a miss: in-body steps
+computed from the position table and deterministic-table reads.
 
 Memory is bounded: the memo is capped at ``max_entries`` (default
 :data:`DEFAULT_MAX_ENTRIES`, overridable via the
@@ -46,8 +61,9 @@ holds memo keys; the per-position, descend and start-chain tables are
 bounded by the grammar's size.  Hit/miss/eviction counters are
 published to the process metrics registry (``pythia_successor_*``).
 
-Thread safety: lookups are lock-free dictionary reads (safe under the
-GIL); the miss path re-checks and inserts under a per-machine lock.
+Thread safety: lookups are lock-free dictionary and list reads (safe
+under the GIL); the miss path re-checks and inserts under a per-machine
+lock.
 The hit/miss counters themselves are updated without the lock, so under
 heavy cross-thread contention they are approximate — they instrument,
 they do not account.
@@ -60,7 +76,7 @@ import threading
 import weakref
 from itertools import islice
 
-from repro.core.frozen import FrozenGrammar
+from repro.core.frozen import FrozenGrammar, decode_rule, is_rule_sym
 from repro.core.progress import (
     END,
     Chain,
@@ -82,7 +98,7 @@ METRIC_FAMILIES: tuple[tuple[str, str], ...] = (
     ("pythia_successor_cache_hits_total", "Successor-machine memo hits"),
     ("pythia_successor_cache_misses_total", "Successor-machine memo misses"),
     ("pythia_successor_cache_evictions_total", "Successor-machine memo evictions"),
-    ("pythia_successor_det_hits_total", "Deterministic-transition fast-path hits"),
+    ("pythia_successor_det_hits_total", "Deterministic steps answered without a memo miss"),
 )
 
 #: Expansion = ((successor chain, relative weight, terminal | None), ...)
@@ -144,7 +160,7 @@ class SuccessorMachine:
         self._memo: dict[Chain, Expansion] = {}
         self._det: dict[Chain, tuple[Chain, int]] = {}
         self._descend: dict[tuple[int, int], Chain] = {}
-        self._positions: dict[tuple[int, int], tuple] = {}
+        self._positions: dict[int, list[tuple | None]] = {}
         self._starts: dict[int, tuple[tuple[Chain, float], ...]] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -176,17 +192,35 @@ class SuccessorMachine:
     def deterministic_next(self, chain: Chain) -> tuple[Chain, int] | None:
         """``(next chain, its terminal)`` when the step is deterministic.
 
-        A warm chain is one dict lookup (counted in ``det_hits``).  A
-        chain this machine has not expanded yet is expanded first (one
-        miss), so ``None`` means that the step branches or reaches
-        :data:`END` — callers then fall back to :meth:`expand`, which also
-        answers the rare lock-free read that races another thread's store
-        of the same chain.
+        A step that stays in the bottom rule's body (an exponent bump or
+        an in-body advance) is computed from the per-position table on
+        every call and stored nowhere.  Any other step is read from the
+        deterministic table, a chain the machine has not expanded yet
+        being expanded first (one miss).  Every step answered without a
+        miss counts in ``det_hits``.  ``None`` means that the step
+        branches or reaches :data:`END` — callers then fall back to
+        :meth:`expand`, which also answers the rare lock-free read that
+        races another thread's store of the same chain.
         """
-        nxt = self._det.get(chain)
-        if nxt is not None:
+        if not chain:
+            return None
+        # the level-0 case of _table_step, inlined: this is the hot path
+        rid, idx, it = chain[0]
+        row = self._positions.get(rid)
+        if row is None or (pos := row[idx]) is None:
+            pos = self._position(rid, idx)
+        exp, again, nxt = pos
+        if it is not None or exp == 1:
+            if it is not None and it + 1 < exp:
+                self.det_hits += 1
+                return ((rid, idx, it + 1),) + chain[1:], again[1]
+            if nxt is not None:
+                self.det_hits += 1
+                return nxt[0] + chain[1:], nxt[1]
+        step = self._det.get(chain)
+        if step is not None:
             self.det_hits += 1
-            return nxt
+            return step
         if chain in self._memo:
             return None
         return _unique(self._miss(chain))
@@ -214,9 +248,14 @@ class SuccessorMachine:
         return base
 
     def _miss(self, chain: Chain) -> Expansion:
-        """Compute one cold chain's expansion and store it (one miss)."""
-        step = self._level0(chain) if chain else None
-        if step is None:
+        """Compute one cold chain's expansion and store it (one miss).
+
+        The deterministic table gets the chain's step only if it leaves
+        the bottom rule's body: :meth:`deterministic_next` computes an
+        in-body step before it reads the table.
+        """
+        found = self._table_step(chain)
+        if found is None:
             fg = self.grammar
             rel = tuple(
                 (c, w, None if c is END or not c else terminal_of(fg, c))
@@ -224,7 +263,9 @@ class SuccessorMachine:
             )
             step = _unique(rel)
         else:
-            rel = ((step[0], 1.0, step[1]),)
+            level, succ, term = found
+            rel = ((succ, 1.0, term),)
+            step = (succ, term) if level else None
         with self._lock:
             self.misses += 1
             cached = self._memo.get(chain)
@@ -237,43 +278,68 @@ class SuccessorMachine:
                 self._det[chain] = step
         return rel
 
-    def _level0(self, chain: Chain) -> tuple[Chain, int] | None:
-        """The unique successor of a step that stays in ``chain[0]``'s body.
+    def _table_step(self, chain: Chain) -> tuple[int, Chain, int] | None:
+        """``(level, successor, terminal)`` of a deterministic step, from
+        the per-position table alone.
 
-        Answers the two cases :func:`successors_rel` resolves at level 0
-        from the per-position table: an exponent bump (``it + 1 < exp``)
-        and an in-body advance (the cached first-terminal prefix of the
-        next body element).  ``None`` for every other step — an unknown
-        iteration (branches) or the end of the body (climbs a level) —
-        which the general traversal answers.
+        Walks the chain bottom-up the way :func:`successors_rel` recurses:
+        a level with a known iteration below its exponent repeats (an
+        exponent bump at level 0, a loop back into the rule at a higher
+        level), else a level with a next body element advances to it,
+        else its body ends and the next level up finishes one expansion.
+        ``level`` is where the step happened (0: it stays in the bottom
+        rule's body).  ``None`` when a level's iteration is unknown (the
+        loop may continue or exit) or the chain's top finishes (the trace
+        ends, or a partial chain must be extended through its rule's
+        uses) — steps the general traversal answers.  The tuples are the
+        ones :func:`successors_rel` builds, at weight 1.0.
         """
-        rid, idx, it = chain[0]
-        pos = self._positions.get((rid, idx))
-        if pos is None:
-            pos = self._position(rid, idx)
-        term, exp, nxt = pos
-        if exp > 1:
-            if it is None:
-                return None
-            if it + 1 < exp:
-                return ((rid, idx, it + 1),) + chain[1:], term
-        if nxt is None:
-            return None
-        return nxt[0] + chain[1:], nxt[1]
+        positions = self._positions
+        for level, (rid, idx, it) in enumerate(chain):
+            row = positions.get(rid)
+            if row is None or (pos := row[idx]) is None:
+                pos = self._position(rid, idx)
+            exp, again, nxt = pos
+            if exp > 1:
+                if it is None:
+                    return None
+                if it + 1 < exp:
+                    prefix, term = again
+                    return level, prefix + ((rid, idx, it + 1),) + chain[level + 1 :], term
+            if nxt is not None:
+                return level, nxt[0] + chain[level + 1 :], nxt[1]
+        return None
 
     def _position(self, rid: int, idx: int) -> tuple:
-        """Per-position step entry of a terminal position (a chain bottom):
-        ``(terminal, exponent, next)``, where ``next`` is the first-terminal
-        prefix of ``(rid, idx + 1)`` with its terminal, or ``None`` at the
-        end of the body."""
+        """Per-position step entry ``(exponent, again, next)``.
+
+        ``again`` is the first-terminal prefix below the position for its
+        next repetition, with that terminal: ``()`` and the terminal
+        itself at a terminal position, the first-terminal chain of the
+        used rule at a rule use; ``None`` when the exponent is 1.
+        ``next`` is the first-terminal prefix of ``(rid, idx + 1)`` with
+        its terminal, or ``None`` at the end of the body.
+        """
         fg = self.grammar
-        term, exp = fg.bodies[rid][idx]
+        body = fg.bodies[rid]
+        sym, exp = body[idx]
+        again = None
+        if exp > 1:
+            if is_rule_sym(sym):
+                prefix = self._descend_base(decode_rule(sym), 0)
+                again = (prefix, terminal_of(fg, prefix))
+            else:
+                again = ((), sym)
         nxt = None
-        if idx + 1 < fg.body_len(rid):
+        if idx + 1 < len(body):
             prefix = self._descend_base(rid, idx + 1)
             nxt = (prefix, terminal_of(fg, prefix))
-        # setdefault: racing threads agree on one entry
-        return self._positions.setdefault((rid, idx), (term, exp, nxt))
+        row = self._positions.get(rid)
+        if row is None:
+            # setdefault: racing threads share one row (and store equal entries)
+            row = self._positions.setdefault(rid, [None] * len(body))
+        row[idx] = pos = (exp, again, nxt)
+        return pos
 
     def _evict_locked(self) -> None:
         """Drop the oldest eighth of the memo (insertion order). Lock held."""

@@ -140,19 +140,33 @@ class TestMemoization:
 
 
 class TestDeterministicTable:
-    def test_unique_successor_becomes_det_entry(self, fig1_frozen):
-        chain = initial_chain(fig1_frozen)
-        ((succ, rw, term),) = SuccessorMachine(fig1_frozen).expand(chain)
-        assert rw == 1.0
-        # a cold chain is expanded on demand: one miss, no table hit
-        machine = SuccessorMachine(fig1_frozen)
-        assert machine.deterministic_next(chain) == (succ, term)
+    def test_unique_successor_becomes_det_entry(self):
+        """A step that leaves the bottom rule's body is stored once; an
+        in-body step is computed on every call and stored nowhere."""
+        fg = freeze([9] + [0, 1, 2, 3] * 50)
+        in_body = climb = None
+        for chain in _walk_chains(fg):
+            if chain[0][1] + 1 < fg.body_len(chain[0][0]):
+                in_body = in_body or chain
+            elif len(chain) > 1 and len(successors(fg, chain)) == 1:
+                climb = climb or chain
+        assert in_body is not None and climb is not None
+        machine = SuccessorMachine(fg)
+        for chain in (in_body, climb):
+            ((succ, rw, term),) = SuccessorMachine(fg).expand(chain)
+            assert rw == 1.0
+            # the first call computes, the second one does not miss again
+            assert machine.deterministic_next(chain) == (succ, term)
+            assert machine.deterministic_next(chain) == (succ, term)
+        # in-body: two table steps; the climb: one miss, then one table hit
         assert machine.misses == 1
-        assert machine.det_hits == 0
-        # the second call is a warm table hit
-        assert machine.deterministic_next(chain) == (succ, term)
-        assert machine.misses == 1
-        assert machine.det_hits == 1
+        assert machine.det_hits == 3
+        assert list(machine._memo) == [climb]
+        assert list(machine._det) == [climb]
+        # expand() still stores the in-body chain, outside the det table
+        machine.expand(in_body)
+        assert set(machine._memo) == {in_body, climb}
+        assert list(machine._det) == [climb]
 
     def test_branching_chain_has_no_det_entry(self):
         fg = freeze([0, 1, 0, 1, 0, 1])  # ababab -> loop with exponent
